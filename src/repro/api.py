@@ -36,13 +36,14 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import NfsStatusError, PoolExhausted, ReproError, TransportError
-from repro.experiments.cluster import Cluster, ClusterConfig, default_srq_entries
-from repro.experiments.registry import EXPERIMENTS, run as run_experiment
-from repro.experiments.topology import (
-    TOPOLOGY_KEYS,
+from repro.experiments.cluster import (
+    Cluster,
+    ClusterConfig,
     MultiCluster,
     TopologyConfig,
+    default_srq_entries,
 )
+from repro.experiments.registry import EXPERIMENTS, run as run_experiment
 from repro.ib.mux import MuxConfig, default_mux_qps
 from repro.workloads import (
     IozoneParams,
@@ -138,32 +139,23 @@ class MountHandle:
 class Deployment:
     """A wired simulated NFS deployment: cluster + synchronous mounts.
 
-    Accepts either deployment description:
+    Accepts either deployment description, or the field kwargs of
+    either (``TopologyConfig`` folds ``ClusterConfig`` fields in):
 
-    * :class:`ClusterConfig` (or its field kwargs) — the historical
-      single-server surface, wired as a :class:`Cluster`;
-    * :class:`TopologyConfig` (or kwargs containing any topology field:
-      ``servers``, ``data_servers``, ``mux``, ``client_hosts``,
-      ``stripe_unit_bytes``, ``credits``) — wired as a
-      :class:`~repro.experiments.topology.MultiCluster`, with mounts
-      placed across server shards by the build-time redirector.
+    * :class:`ClusterConfig` — the paper's single-server testbed;
+    * :class:`TopologyConfig` — adds the scale-out fields (``servers``,
+      ``data_servers``, ``mux``, ``client_hosts``,
+      ``stripe_unit_bytes``, ``credits``); mounts are placed across
+      server shards by the build-time redirector.
+
+    Both are wired by the one :class:`Cluster` builder.
     """
 
     def __init__(self, config=None, **kwargs) -> None:
         if config is not None and kwargs:
             raise ValueError("pass a config object or field kwargs, not both")
-        if config is None and any(k in kwargs for k in TOPOLOGY_KEYS):
-            config = TopologyConfig(**kwargs)
-        elif config is None:
-            config = ClusterConfig(**kwargs)
-        if isinstance(config, TopologyConfig):
-            self.cluster = MultiCluster(config)
-        elif isinstance(config, ClusterConfig):
-            self.cluster = Cluster(config)
-        else:
-            raise TypeError(
-                f"expected ClusterConfig or TopologyConfig, got "
-                f"{type(config).__name__}")
+        self.cluster = Cluster(TopologyConfig(**kwargs) if config is None
+                               else config)
         self.mounts = [MountHandle(self.cluster, m) for m in self.cluster.mounts]
 
     def mount(self, index: int = 0) -> MountHandle:
@@ -177,10 +169,7 @@ class Deployment:
 
     def shard_of(self, index: int = 0) -> int:
         """Which server shard holds mount ``index`` (0 on single-node)."""
-        redirector = getattr(self.cluster, "redirector", None)
-        if redirector is None:
-            return 0
-        placed = redirector.index_of(index)
+        placed = self.cluster.redirector.index_of(index)
         return 0 if placed is None else placed
 
     def run(self, generator):
@@ -193,13 +182,14 @@ class Deployment:
 
     @property
     def config(self) -> ClusterConfig:
-        """The single-node knobs (the base config on a MultiCluster)."""
+        """The per-node knobs (the base config of a scale-out topology)."""
         return self.cluster.config
 
     @property
     def topology(self) -> Optional[TopologyConfig]:
         """The scale-out description, or ``None`` on a single-node wire."""
-        return getattr(self.cluster, "topology", None)
+        topology = self.cluster.topology
+        return topology if topology.is_multi else None
 
 
 def connect(config=None, **kwargs) -> Deployment:

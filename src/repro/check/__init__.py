@@ -13,12 +13,11 @@ Three layers, all surfaced through ``python -m repro check``:
   order; bit-identical figure tables under perturbation prove no result
   depends on incidental event ordering.  :func:`nondeterminism_guard`
   additionally traps wall-clock reads and global-RNG draws at runtime.
-* :func:`analyze` (:mod:`repro.check.static`) — the interprocedural
-  contract analyzer: the intraprocedural purity rules from
-  :mod:`repro.check.purity` plus zero-cost-off guard dominance,
-  cross-function purity escapes, process/generator discipline,
-  wire-format symmetry and exception-boundary checks.  Surfaced as
-  ``python -m repro check --static``.
+* :func:`~repro.check.static.analyze` (:mod:`repro.check.static`) — the
+  contract analyzer: intraprocedural purity rules, zero-cost-off guard
+  dominance, cross-function purity escapes, process/generator
+  discipline, wire-format symmetry and exception-boundary checks.
+  Surfaced as ``python -m repro check --static``.
 
 The heavyweight figure-grid driver lives in :mod:`repro.check.runner`
 and is imported lazily by the CLI (it pulls in the experiment stack).
@@ -26,16 +25,12 @@ and is imported lazily by the CLI (it pulls in the experiment stack).
 
 from __future__ import annotations
 
-from repro.check.purity import Finding, lint_file, lint_paths
 from repro.check.races import PerturbedSimulator, nondeterminism_guard
 from repro.check.sanitizer import Sanitizer, Violation
 
 __all__ = [
-    "Finding",
     "PerturbedSimulator",
     "Sanitizer",
     "Violation",
-    "lint_file",
-    "lint_paths",
     "nondeterminism_guard",
 ]

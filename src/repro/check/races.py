@@ -57,7 +57,7 @@ from the process-global ``random`` generator raise
 :class:`~repro.errors.NondeterminismViolation`.  Seeded
 ``random.Random`` instances — the only RNG the sim layer is allowed to
 use — are untouched.  (``datetime.now`` is C-level and can't be patched;
-the static lint in :mod:`repro.check.purity` covers it instead.)
+the ``purity`` pack of :mod:`repro.check.static` covers it instead.)
 """
 
 from __future__ import annotations

@@ -367,21 +367,14 @@ class Sanitizer:
     def leak_report(self, cluster) -> list[str]:
         """Buffers still pinned/registered once a cluster is quiescent."""
         leaks: list[str] = []
-        strategies: list[tuple[str, object]] = []
-        stacks = getattr(cluster, "all_stacks", None)
-        if stacks is not None:
-            # Sharded deployment: every server/data-server stack has its
-            # own strategy; auditing only the first would hide leaks.
-            for stack in stacks:
-                strategies.append((stack.name, stack.strategy))
-        else:
-            server_strategy = getattr(cluster, "server_strategy", None)
-            if server_strategy is not None:
-                strategies.append(("server", server_strategy))
-        for mux in (getattr(cluster, "muxes", None) or {}).values():
+        # Every server/data-server stack has its own strategy; auditing
+        # only the first would hide leaks on a sharded deployment.
+        strategies: list[tuple[str, object]] = [
+            (stack.name, stack.strategy) for stack in cluster.all_stacks]
+        for mux in cluster.muxes.values():
             for channel in mux.channels:
                 strategies.append((channel.name, channel.strategy))
-        for mount in getattr(cluster, "mounts", None) or []:
+        for mount in cluster.mounts:
             strategy = getattr(mount.transport, "strategy", None)
             if strategy is not None:
                 strategies.append((mount.node.name, strategy))
@@ -410,7 +403,7 @@ class Sanitizer:
                         f"{label}/{strategy.name}: {mapped} FMR mapping(s) "
                         f"never unmapped"
                     )
-        for transport in getattr(cluster, "server_transports", None) or []:
+        for transport in cluster.server_transports:
             pending = getattr(transport, "pending_done", None)
             if pending:
                 leaks.append(

@@ -173,6 +173,9 @@ class _RdmaEndpoint:
                           _InlinePool(node, config.credits, config.inline_threshold,
                                       f"{name}.recvpool"))
         self.headers_sent = Counter(f"{name}.headers")
+        #: inbound frames whose RPC/RDMA header failed to decode; the
+        #: receive loop drops them and keeps running.
+        self.malformed_received = Counter(f"{name}.malformed")
         self._posted: deque = deque()
         self.bytes_rdma_read = Counter(f"{name}.rdma_read_bytes")
         self.bytes_rdma_written = Counter(f"{name}.rdma_write_bytes")
@@ -640,9 +643,17 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
                 self.failed = True
                 self._flush_waiters()
                 return
-            header = RpcRdmaHeader.decode(wr.received)
+            raw = wr.received
             # Repost a fresh inline receive in this buffer's place.
             self.repost_recv(wr.pool_region)
+            try:
+                header = RpcRdmaHeader.decode(raw)
+            except XdrError:
+                # Garbage from a buggy or hostile server: drop the frame
+                # and keep receiving; the call it might have answered
+                # times out and retransmits like any lost reply.
+                self.malformed_received.add()
+                continue
             waiter = self._pending.pop(header.xid, None)
             if waiter is None:
                 continue  # stale reply for an aborted call
@@ -682,7 +693,6 @@ class RpcRdmaServerBase(_RdmaEndpoint, RpcServerTransport):
         #: security policy (misbehavior scoring / throttle / quarantine);
         #: None keeps every hardening hook off the hot path.
         self.policy = policy
-        self.malformed_received = Counter(f"{name}.malformed")
         #: per-lane ledger, created lazily on the first version-2 call;
         #: stays None (zero cost) on dedicated connections.
         self.lanes: Optional[LaneLedger] = None

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.ib.verbs import Segment
-from repro.rpc.xdr import XdrDecoder, XdrEncoder
+from repro.rpc.xdr import XdrDecoder, XdrEncoder, XdrError
 
 __all__ = ["ChunkList", "ReadChunk", "WriteChunk"]
 
@@ -68,6 +68,19 @@ def _decode_segment(dec: XdrDecoder) -> Segment:
     return Segment(stag, addr, length)
 
 
+def _encode_write_chunk(enc: XdrEncoder, chunk: WriteChunk) -> None:
+    enc.array(list(chunk.segments), _encode_segment)
+
+
+def _decode_write_chunk(dec: XdrDecoder) -> WriteChunk:
+    segments = dec.array(_decode_segment, max_items=4096)
+    if not segments:
+        # A peer-supplied empty chunk is a malformed frame, not a
+        # programming error: fail with the decoder's typed error.
+        raise XdrError("write chunk needs at least one segment")
+    return WriteChunk(segments)
+
+
 @dataclass
 class ChunkList:
     """The three chunk lists carried by one RPC/RDMA header."""
@@ -91,10 +104,7 @@ class ChunkList:
             self.read_chunks,
             lambda e, c: (e.u32(c.position), _encode_segment(e, c.segment)),
         )
-        enc.array(
-            self.write_chunks,
-            lambda e, w: e.array(list(w.segments), _encode_segment),
-        )
+        enc.array(self.write_chunks, _encode_write_chunk)
         enc.optional(
             self.reply_chunk,
             lambda e, w: e.array(list(w.segments), _encode_segment),
@@ -106,12 +116,7 @@ class ChunkList:
             lambda d: ReadChunk(position=d.u32(), segment=_decode_segment(d)),
             max_items=4096,
         )
-        write_chunks = [
-            WriteChunk(segs)
-            for segs in dec.array(
-                lambda d: d.array(_decode_segment, max_items=4096), max_items=256
-            )
-        ]
+        write_chunks = dec.array(_decode_write_chunk, max_items=256)
         reply = dec.optional(lambda d: d.array(_decode_segment, max_items=4096))
         return cls(
             read_chunks=read_chunks,

@@ -98,7 +98,7 @@ def health_of_cluster(cluster: Any, slo: SloPolicy,
         slo=slo,
         experiment=slo.experiment,
         label=label,
-        nodes=getattr(cluster, "node_count", 1 + cluster.config.nclients),
+        nodes=cluster.node_count,
         queue_depth=cluster.config.server_queue_depth,
     )
     return PointHealth(

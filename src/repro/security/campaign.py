@@ -37,6 +37,7 @@ from typing import Generator, Optional
 from repro.analysis.latency import LatencyRecorder
 from repro.core import ReadWriteClient
 from repro.errors import TransportError
+from repro.experiments.cluster import make_strategy
 from repro.nfs import NfsClient
 from repro.payload import Payload
 from repro.security.adversary import (
@@ -145,13 +146,15 @@ def _qp_factory(cluster, node, servers: list, with_ready: bool = False):
     adversaries whose sends must land (the flooder) rather than fire
     into an RNR wall."""
 
+    stack = cluster.server_stacks[0]
+
     def factory():
-        policy = cluster.security_policy
+        policy = stack.security_policy
         if policy is not None and policy.is_banned(node.name):
             policy.redials_refused.add()
             raise TransportError(f"{node.name}: redial refused (quarantined)")
-        qp_c, qp_s = cluster.fabric.connect(node, cluster.server_node)
-        server = cluster._make_server_transport(qp_s)
+        qp_c, qp_s = cluster.fabric.connect(node, stack.node)
+        server = stack.make_transport(qp_s)
         servers.append(server)
         if with_ready:
             return qp_c, server.ready
@@ -162,13 +165,14 @@ def _qp_factory(cluster, node, servers: list, with_ready: bool = False):
 
 def _mal_client_mount(cluster, node, client_cls, servers: list) -> _MalMount:
     """A full NFS mount for a protocol-speaking adversary."""
-    qp_c, qp_s = cluster.fabric.connect(node, cluster.server_node)
-    strategy = cluster._make_strategy(cluster.config.strategy, node)
-    client = client_cls(node, qp_c, cluster.rpcrdma, strategy)
-    server = cluster._make_server_transport(qp_s)
+    stack = cluster.server_stacks[0]
+    qp_c, qp_s = cluster.fabric.connect(node, stack.node)
+    strategy = make_strategy(cluster.config, node, server=False)
+    client = client_cls(node, qp_c, stack.rpcrdma, strategy)
+    server = stack.make_transport(qp_s)
     servers.append(server)
     client.peer_ready = server.ready
-    client.reconnector = cluster._redial
+    client.reconnector = stack.redial
     nfs = NfsClient(client, cluster.nfs_server.root_handle(),
                     name=f"{node.name}.nfs")
     return _MalMount(node=node, transport=client, nfs=nfs,

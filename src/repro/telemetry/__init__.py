@@ -90,8 +90,12 @@ class Telemetry:
         at collect time.
         """
         reg = self.registry
-        stacks = getattr(cluster, "server_stacks", None)
-        multi = stacks is not None
+        # A one-stack deployment keeps the historical unlabeled
+        # serving-stack metrics; multi-node ones label by server.
+        multi = cluster.topology.is_multi
+
+        def stack_labels(stack: Any) -> dict:
+            return {"server": stack.name} if multi else {}
 
         for mount in cluster.mounts:
             t = mount.transport
@@ -117,7 +121,7 @@ class Telemetry:
                            lambda c=credits: float(c.outstanding_peak),
                            "deepest concurrent-call level seen", mount=m)
 
-        for mux in getattr(cluster, "muxes", {}).values():
+        for mux in cluster.muxes.values():
             reg.attach("mux_channels",
                        lambda x=mux: float(x.qp_count),
                        "shared QPs in this channel pool", mux=mux.name)
@@ -142,11 +146,10 @@ class Telemetry:
                            "calls that stalled on an exhausted credit grant",
                            mount=cn)
 
+        for stack in cluster.all_stacks:
+            self._attach_serving_stack(stack, stack_labels(stack))
         if multi:
             for stack in cluster.all_stacks:
-                self._attach_serving_stack(
-                    stack.rpc_server, stack.srq, stack.drc, stack.nfs_server,
-                    {"server": stack.name})
                 reg.attach("lane_order_violations",
                            lambda st=stack: float(sum(
                                t.lanes.order_violations.events
@@ -158,23 +161,14 @@ class Telemetry:
                            lambda st=stack: float(len(st.server_transports)),
                            "live server-side connections (QPs)",
                            server=stack.name)
-            redirector = getattr(cluster, "redirector", None)
-            if redirector is not None:
-                for index, stack in enumerate(cluster.server_stacks):
-                    reg.attach("shard_mounts",
-                               lambda r=redirector, i=index: float(
-                                   r.counts()[i]),
-                               "mounts the redirector placed on this shard",
-                               server=stack.name)
-        else:
-            self._attach_serving_stack(
-                cluster.rpc_server, getattr(cluster, "srq", None),
-                cluster.drc, cluster.nfs_server, {})
+            for index, stack in enumerate(cluster.server_stacks):
+                reg.attach("shard_mounts",
+                           lambda r=cluster.redirector, i=index: float(
+                               r.counts()[i]),
+                           "mounts the redirector placed on this shard",
+                           server=stack.name)
 
-        nodes = getattr(cluster, "server_nodes", None)
-        if nodes is None:
-            nodes = [cluster.server_node]
-        for node in [*nodes, *cluster.client_nodes]:
+        for node in [*cluster.server_nodes, *cluster.client_nodes]:
             hca = node.hca
             n = node.name
             reg.attach("hca_send_ops", _events(hca.sends),
@@ -213,24 +207,19 @@ class Telemetry:
                            lambda s=san, r=rule: float(s.counts.get(r, 0)),
                            "sanitizer violations for one rule", rule=rule)
 
-        if multi:
-            for stack in cluster.all_stacks:
-                self._attach_strategy(stack.strategy, side=stack.name)
-            for mux in cluster.muxes.values():
-                for channel in mux.channels:
-                    self._attach_strategy(channel.strategy, side=channel.name)
-        else:
-            self._attach_strategy(cluster.server_strategy, side="server")
+        for stack in cluster.all_stacks:
+            self._attach_strategy(stack.strategy, side=stack.name)
+        for mux in cluster.muxes.values():
+            for channel in mux.channels:
+                self._attach_strategy(channel.strategy, side=channel.name)
         for mount in cluster.mounts:
             strategy = getattr(mount.transport, "strategy", None)
             if strategy is not None and not hasattr(mount.transport, "channel"):
                 self._attach_strategy(strategy, side=mount.nfs.name)
 
-        for fs, labels in (
-                [(stack.fs, {"server": stack.name})
-                 for stack in cluster.all_stacks] if multi
-                else [(cluster.fs, {})]):
-            cache = getattr(fs, "cache", None)
+        for stack in cluster.all_stacks:
+            labels = stack_labels(stack)
+            cache = getattr(stack.fs, "cache", None)
             if cache is not None and hasattr(cache, "hits"):
                 reg.attach("pagecache_hits", _events(cache.hits),
                            "server page-cache hits", **labels)
@@ -244,55 +233,12 @@ class Telemetry:
                            lambda c=cache: float(c.resident_pages),
                            "pages currently cached", **labels)
 
-        policy = getattr(cluster, "security_policy", None)
-        if policy is not None:
-            reg.attach("security_naks", _events(policy.naks),
-                       "protection NAKs recorded by the policy")
-            from repro.security.policy import NAK_CAUSES
-            for cause in NAK_CAUSES:
-                reg.attach("security_naks_by_cause",
-                           lambda p=policy, c=cause: float(
-                               p.naks_by_cause.get(c, 0)),
-                           "protection NAKs broken down by TPT cause",
-                           cause=cause)
-            reg.attach("security_malformed_wrs", _events(policy.malformed_wrs),
-                       "receives that failed RPC/RDMA header decode")
-            reg.attach("security_bad_calls", _events(policy.bad_calls),
-                       "RPC calls rejected at dispatch")
-            reg.attach("security_lease_reclaims", _events(policy.lease_reclaims),
-                       "exposure leases reclaimed by deadline")
-            reg.attach("security_lease_reclaimed_bytes",
-                       _value(policy.lease_reclaims),
-                       "bytes un-exposed by lease reclamation")
-            reg.attach("security_quota_evictions",
-                       _events(policy.quota_evictions),
-                       "exposures evicted by per-client quota")
-            reg.attach("security_quota_evicted_bytes",
-                       _value(policy.quota_evictions),
-                       "bytes un-exposed by quota eviction")
-            reg.attach("security_warnings", _events(policy.warnings),
-                       "clients that crossed the WARN threshold")
-            reg.attach("security_throttles", _events(policy.throttles),
-                       "clients escalated to throttling")
-            reg.attach("security_quarantined_mounts",
-                       lambda p=policy: float(len(p.quarantined)),
-                       "clients evicted and banned")
-            reg.attach("security_redials_refused",
-                       _events(policy.redials_refused),
-                       "redial attempts refused for banned clients")
-            reg.attach("security_active_exposures",
-                       lambda c=cluster: float(sum(
-                           len(getattr(t, "pending_done", ()) or ())
-                           for t in c.server_transports)),
-                       "chunk exposures currently awaiting RDMA_DONE")
-            for client in sorted({m.node.name for m in cluster.mounts}):
-                reg.attach("security_exposure_bytes",
-                           lambda p=policy, c=client: float(
-                               p.exposure_bytes_by_client().get(c, 0)),
-                           "currently exposed (pending-DONE) bytes",
-                           client=client)
+        for stack in cluster.all_stacks:
+            if stack.security_policy is not None:
+                self._attach_security(stack, cluster.mounts,
+                                      stack_labels(stack))
 
-        if getattr(cluster, "faults", None) is not None:
+        if cluster.faults is not None:
             f = cluster.faults
             reg.attach("faults_messages_dropped", _events(f.messages_dropped),
                        "messages eaten by the wire")
@@ -305,16 +251,68 @@ class Telemetry:
             reg.attach("faults_server_crashes", _events(f.crashes_fired),
                        "server crash-restarts fired")
 
-    def _attach_serving_stack(self, rpc: Any, srq: Any, drc: Any,
-                              nfs_server: Any, labels: dict) -> None:
+    def _attach_security(self, stack: Any, mounts: Any,
+                         labels: dict) -> None:
+        """One stack's misbehaviour-policy gauges (hardened data plane)."""
+        from repro.security.policy import NAK_CAUSES
+
+        reg = self.registry
+        policy = stack.security_policy
+        reg.attach("security_naks", _events(policy.naks),
+                   "protection NAKs recorded by the policy", **labels)
+        for cause in NAK_CAUSES:
+            reg.attach("security_naks_by_cause",
+                       lambda p=policy, c=cause: float(
+                           p.naks_by_cause.get(c, 0)),
+                       "protection NAKs broken down by TPT cause",
+                       cause=cause, **labels)
+        reg.attach("security_malformed_wrs", _events(policy.malformed_wrs),
+                   "receives that failed RPC/RDMA header decode", **labels)
+        reg.attach("security_bad_calls", _events(policy.bad_calls),
+                   "RPC calls rejected at dispatch", **labels)
+        reg.attach("security_lease_reclaims", _events(policy.lease_reclaims),
+                   "exposure leases reclaimed by deadline", **labels)
+        reg.attach("security_lease_reclaimed_bytes",
+                   _value(policy.lease_reclaims),
+                   "bytes un-exposed by lease reclamation", **labels)
+        reg.attach("security_quota_evictions",
+                   _events(policy.quota_evictions),
+                   "exposures evicted by per-client quota", **labels)
+        reg.attach("security_quota_evicted_bytes",
+                   _value(policy.quota_evictions),
+                   "bytes un-exposed by quota eviction", **labels)
+        reg.attach("security_warnings", _events(policy.warnings),
+                   "clients that crossed the WARN threshold", **labels)
+        reg.attach("security_throttles", _events(policy.throttles),
+                   "clients escalated to throttling", **labels)
+        reg.attach("security_quarantined_mounts",
+                   lambda p=policy: float(len(p.quarantined)),
+                   "clients evicted and banned", **labels)
+        reg.attach("security_redials_refused",
+                   _events(policy.redials_refused),
+                   "redial attempts refused for banned clients", **labels)
+        reg.attach("security_active_exposures",
+                   lambda st=stack: float(sum(
+                       len(getattr(t, "pending_done", ()) or ())
+                       for t in st.server_transports)),
+                   "chunk exposures currently awaiting RDMA_DONE", **labels)
+        for client in sorted({m.node.name for m in mounts}):
+            reg.attach("security_exposure_bytes",
+                       lambda p=policy, c=client: float(
+                           p.exposure_bytes_by_client().get(c, 0)),
+                       "currently exposed (pending-DONE) bytes",
+                       client=client, **labels)
+
+    def _attach_serving_stack(self, stack: Any, labels: dict) -> None:
         """One serving stack's dispatch/SRQ/DRC gauges.
 
-        ``labels`` is empty on a single-node cluster (the historical
+        ``labels`` is empty on a one-stack deployment (the historical
         unlabeled form) and ``{"server": ...}`` per stack on a
-        :class:`~repro.experiments.topology.MultiCluster`, so the
-        registry-summing health checks aggregate across nodes for free.
+        multi-node topology, so the registry-summing health checks
+        aggregate across nodes for free.
         """
         reg = self.registry
+        rpc, srq, drc = stack.rpc_server, stack.srq, stack.drc
         reg.attach("rpc_server_calls", _events(rpc.calls_served),
                    "RPCs dispatched by the server", **labels)
         reg.attach("rpc_server_failed", _events(rpc.calls_failed),
@@ -366,7 +364,7 @@ class Telemetry:
                        "duplicate xids answered from the cache", **labels)
             reg.attach("drc_drops", _events(drc.drops),
                        "duplicates dropped while the original ran", **labels)
-        reg.attach("nfsd_errors", _events(nfs_server.errors),
+        reg.attach("nfsd_errors", _events(stack.nfs_server.errors),
                    "NFS procedures that returned an error status", **labels)
 
     def _attach_strategy(self, strategy: Any, side: str) -> None:

@@ -1,4 +1,4 @@
-"""tools/bench_gate.py must fail on regressions and read both schemas."""
+"""tools/bench_gate.py must fail on regressions and reject non-v2 files."""
 
 import json
 import sys
@@ -69,24 +69,16 @@ def test_gate_fails_on_missing_figure(tmp_path):
     assert rc != 0
 
 
-def test_gate_reads_v1_baselines(tmp_path):
-    """Old unversioned baselines (events_stepped) stay comparable."""
+def test_gate_rejects_v1_files(tmp_path, capsys):
+    """An unversioned v1 baseline is an error, never read as zero."""
     _write(tmp_path / "base", "fig5", _v1("fig5", 100_000))
     _write(tmp_path / "fresh", "fig5", _v2("fig5", 200_000))
     rc = bench_gate.main(["--fresh", str(tmp_path / "fresh"),
                           "--baseline", str(tmp_path / "base")])
-    assert rc == 0
-    bench = bench_gate.load_bench(tmp_path / "base" / "BENCH_fig5.json")
-    assert bench["schema_version"] == 1
-    assert bench["events"] == 1_000_000
-
-
-def test_gate_derives_eps_when_absent(tmp_path):
-    payload = _v1("fig5", 100_000)
-    del payload["events_per_sec"]  # oldest files: wall + events only
-    _write(tmp_path / "base", "fig5", payload)
-    bench = bench_gate.load_bench(tmp_path / "base" / "BENCH_fig5.json")
-    assert bench["events_per_sec"] == pytest.approx(100_000, rel=0.01)
+    assert rc == 2
+    assert "schema_version None is not supported" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="BENCH_fig5.json"):
+        bench_gate.load_bench(tmp_path / "base" / "BENCH_fig5.json")
 
 
 def test_gate_faster_than_baseline_always_passes(tmp_path):

@@ -197,7 +197,7 @@ def test_fmr_pool_exhaustion_falls_back_not_fails():
     small = FmrStrategy(c.server_node, pool_size=2)
     for st in c.server_transports:
         st.strategy = small
-    c.server_strategy = small
+    c.server_stacks[0].strategy = small
     nfs = c.mounts[0].nfs
     done = []
 

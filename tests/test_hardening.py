@@ -6,13 +6,18 @@ the assertions are about the *defense* — bounded pinning, admission
 control, escalation to quarantine, and the analytic stag-guess bound.
 """
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.header import RpcRdmaHeader
 from repro.core.readread import ReadReadServer
 from repro.experiments import Cluster, ClusterConfig
+from repro.ib.verbs import SendWR
 from repro.nfs import NfsClient
+from repro.rpc.xdr import XdrError
 from repro.security import (
     CampaignParams,
     DoneWithholdingClient,
@@ -21,6 +26,7 @@ from repro.security import (
     run_campaign,
     stag_guess_success_probability,
 )
+from repro.security.campaign import _add_mal_node, _qp_factory
 from repro.workloads import IozoneParams, run_iozone
 
 RECORD = 128 * 1024
@@ -33,7 +39,7 @@ def _withholder_cluster(**knobs):
     qc, qs = c.fabric.connect(c.mounts[0].node, c.server_node)
     withholder = DoneWithholdingClient(
         c.mounts[0].node, qc, c.rpcrdma, c.mounts[0].transport.strategy)
-    server = c._make_server_transport(qs)
+    server = c.server_stacks[0].make_transport(qs)
     withholder.peer_ready = server.ready
     nfs = NfsClient(withholder, c.nfs_server.root_handle())
     return c, nfs, withholder, server
@@ -260,3 +266,63 @@ def test_mitigations_off_by_default():
     assert c.rpcrdma.lease_timeout_us is None
     assert c.rpcrdma.exposure_quota_bytes is None
     assert not c.rpcrdma.aes_payload
+
+
+# ---------------------------------------------------------------- crafted frames
+#: An RDMA_MSG header whose write list holds one chunk with zero
+#: segments.  It used to escape the decoders as a bare ValueError and
+#: stop the whole simulation.
+EMPTY_WRITE_CHUNK_FRAME = struct.pack(">10I", 7, 1, 1, 0, 0, 1, 0, 0, 0, 0)
+
+
+def _legit_round_trip(c, name):
+    nfs = c.mounts[0].nfs
+    payload = bytes(range(256)) * 64
+
+    def io():
+        fh, _ = yield from nfs.create(nfs.root, name)
+        yield from nfs.write(fh, 0, payload)
+        data, _, _ = yield from nfs.read(fh, 0, len(payload))
+        return data
+
+    assert c.run(io()) == payload
+
+
+def _send_raw(c, node, qp, frame):
+    def send():
+        wr = SendWR(c.sim, inline=frame)
+        yield from node.hca.post_send(qp, wr)
+
+    c.run(send())
+    c.sim.run(until=c.sim.now + 1_000.0)
+
+
+def test_empty_write_chunk_decodes_to_typed_error():
+    with pytest.raises(XdrError):
+        RpcRdmaHeader.decode(EMPTY_WRITE_CHUNK_FRAME)
+
+
+@pytest.mark.parametrize("transport", ["rdma-rw", "rdma-rr"])
+def test_hostile_client_empty_write_chunk_frame_fails_closed(transport):
+    """The server counts the frame, stays up and keeps serving."""
+    c = Cluster(ClusterConfig(transport=transport))
+    node = _add_mal_node(c, "hostile")
+    servers: list = []
+    qp, ready = _qp_factory(c, node, servers, with_ready=True)()
+    c.run((lambda: (yield ready))())
+    _send_raw(c, node, qp, EMPTY_WRITE_CHUNK_FRAME)
+    assert servers[0].malformed_received.events == 1
+    assert not servers[0].failed
+    _legit_round_trip(c, "after-crafted-frame")
+
+
+def test_hostile_server_empty_write_chunk_frame_fails_closed():
+    """A client that receives the frame as a reply drops and counts it."""
+    c = Cluster(ClusterConfig(transport="rdma-rw"))
+    client = c.mounts[0].transport
+    server = c.server_transports[0]
+    c.run((lambda: (yield server.ready))())
+    _send_raw(c, c.server_node, server.qp, EMPTY_WRITE_CHUNK_FRAME)
+    assert client.malformed_received.events == 1
+    assert not client.failed
+    _legit_round_trip(c, "after-crafted-reply")

@@ -1,13 +1,15 @@
-"""Static purity lint: one known-bad snippet per rule, plus the
-suppression syntax and the idioms that must stay exempt."""
+"""Fixture cases for the analyzer's ``purity`` pack: one known-bad
+snippet per rule, plus the suppression syntax and the idioms that must
+stay exempt.  Every case runs through :func:`repro.check.static.analyze`,
+the same path as ``python -m repro check --static --rule purity``."""
 
-from pathlib import Path
-
-from repro.check.purity import RULES, lint_file, lint_paths, lint_source
+from repro.check.static import analyze, analyze_source
+from repro.check.static.rules.purity_pack import PACK
 
 
 def rules_of(source):
-    return [f.rule for f in lint_source(source, "snippet.py")]
+    report = analyze_source(source, "snippet.py", rules=("purity",))
+    return [f.rule for f in report.findings]
 
 
 # ------------------------------------------------------------ wallclock
@@ -121,7 +123,7 @@ def test_every_rule_has_a_failing_snippet():
         "set-iteration": "s = set()\nfor x in s:\n    pass\n",
         "mutable-default": "def f(a=[]):\n    pass\n",
     }
-    assert set(snippets) == set(RULES)
+    assert set(snippets) == set(PACK.rules)
     for rule, src in snippets.items():
         assert rules_of(src) == [rule]
 
@@ -129,7 +131,7 @@ def test_every_rule_has_a_failing_snippet():
 def test_finding_rendering_and_file_api(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import time\nt = time.time()\n")
-    findings = lint_file(bad)
+    findings = analyze(root=tmp_path, rules=("purity",)).findings
     assert len(findings) == 1
     rendered = str(findings[0])
     assert "[wallclock]" in rendered
@@ -140,10 +142,10 @@ def test_lint_paths_walks_directories(tmp_path):
     (tmp_path / "pkg").mkdir()
     (tmp_path / "pkg" / "a.py").write_text("def f(a=[]):\n    pass\n")
     (tmp_path / "pkg" / "b.py").write_text("x = 1\n")
-    findings = lint_paths([tmp_path])
-    assert [f.rule for f in findings] == ["mutable-default"]
+    report = analyze(root=tmp_path, rules=("purity",))
+    assert report.modules_scanned == 2
+    assert [f.rule for f in report.findings] == ["mutable-default"]
 
 
 def test_repo_tree_is_clean():
-    src = Path(__file__).resolve().parent.parent / "src" / "repro"
-    assert lint_paths([src]) == []
+    assert analyze(rules=("purity",)).ok

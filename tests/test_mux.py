@@ -20,6 +20,7 @@ from repro.core.header import (
 )
 from repro.experiments.cluster import Cluster, ClusterConfig
 from repro.experiments.topology import MultiCluster, TopologyConfig
+from repro.faults import FaultPlan
 from repro.ib.mux import MuxConfig, default_mux_qps
 from repro.security import audit_server_exposure
 from repro.sim import AllOf
@@ -262,7 +263,13 @@ def test_topology_validation():
     with pytest.raises(ValueError):
         TopologyConfig(servers=0)
     with pytest.raises(ValueError):
-        TopologyConfig(transport="tcp-gige")  # multi-node needs RDMA
+        TopologyConfig(servers=2, transport="tcp-gige")  # multi needs RDMA
+    with pytest.raises(ValueError):
+        TopologyConfig(client_hosts=2, quarantine=True)
+    with pytest.raises(ValueError):
+        TopologyConfig(mux=True, fault_plan=FaultPlan())
+    # The one-stack topology is the single-server testbed: TCP is fine.
+    assert not TopologyConfig(transport="tcp-gige").is_multi
     with pytest.raises(ValueError):
         TopologyConfig(mux="yes")
     with pytest.raises(ValueError):

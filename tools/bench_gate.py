@@ -12,9 +12,9 @@ figure regresses by more than ``--max-regress`` percent (or when a
 baselined figure is missing from the fresh run).  Faster-than-baseline
 results always pass — the gate is one-sided.
 
-Reads both BENCH schema versions: v2 (``schema_version``/``events``)
-and the unversioned v1 files (``events_stepped``), so pre-v2 baselines
-keep working.
+Reads BENCH schema v2 (``schema_version``/``events``/
+``events_per_sec``) only.  Any other file, including the unversioned
+v1 shape, stops the gate with an error naming the file.
 """
 
 from __future__ import annotations
@@ -27,24 +27,24 @@ from pathlib import Path
 DEFAULT_BASELINE = Path(__file__).resolve().parent.parent / "benchmarks" / "baselines"
 
 
+#: The only BENCH_*.json schema the gate reads.
+SCHEMA_VERSION = 2
+
+
 def load_bench(path: Path) -> dict:
-    """Normalize one BENCH_*.json (schema v1 or v2) to a common shape."""
+    """Read one BENCH_*.json; raises ``ValueError`` unless it is v2."""
     raw = json.loads(path.read_text())
-    events = raw.get("events", raw.get("events_stepped"))
-    if events is None:
-        raise ValueError(f"{path}: neither 'events' nor 'events_stepped' present")
-    eps = raw.get("events_per_sec")
-    if eps is None:
-        wall = raw.get("wall_seconds") or 0
-        eps = round(events / wall) if wall else 0
-    return {
-        "experiment": raw.get("experiment", path.stem.replace("BENCH_", "")),
-        "schema_version": raw.get("schema_version", 1),
-        "events": events,
-        "events_per_sec": eps,
-        "wall_seconds": raw.get("wall_seconds", 0.0),
-        "scale": raw.get("scale", "quick"),
-    }
+    version = raw.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise ValueError(
+            f"{path}: BENCH schema_version {version!r} is not supported "
+            f"(need {SCHEMA_VERSION}); regenerate it with "
+            f"`python -m repro bench`")
+    missing = [k for k in ("experiment", "events", "events_per_sec")
+               if k not in raw]
+    if missing:
+        raise ValueError(f"{path}: missing {', '.join(missing)}")
+    return raw
 
 
 def load_dir(directory: Path) -> dict[str, dict]:
@@ -88,8 +88,12 @@ def main(argv: list[str] | None = None) -> int:
                     help="allowed events/sec drop per figure, percent (default 15)")
     args = ap.parse_args(argv)
 
-    baseline = load_dir(args.baseline)
-    fresh = load_dir(args.fresh)
+    try:
+        baseline = load_dir(args.baseline)
+        fresh = load_dir(args.fresh)
+    except ValueError as err:
+        print(f"bench-gate: {err}", file=sys.stderr)
+        return 2
     if not baseline:
         print(f"bench-gate: no BENCH_*.json baselines in {args.baseline}",
               file=sys.stderr)
