@@ -16,7 +16,8 @@ Three layers, all surfaced through ``python -m repro check``:
 * :func:`~repro.check.static.analyze` (:mod:`repro.check.static`) — the
   contract analyzer: intraprocedural purity rules, zero-cost-off guard
   dominance, cross-function purity escapes, process/generator
-  discipline, wire-format symmetry and exception-boundary checks.
+  discipline and exception-boundary checks (including decodes of peer
+  bytes that could escape a receive path).
   Surfaced as ``python -m repro check --static``.
 
 The heavyweight figure-grid driver lives in :mod:`repro.check.runner`

@@ -16,8 +16,8 @@ metric dicts to be **bit-identical** across all of them:
 
 The static contract analyzer (:mod:`repro.check.static`) runs first —
 purity, zero-cost-off guards, interprocedural purity escapes, process/
-generator discipline, wire-format symmetry and exception boundaries are
-all cheap AST passes that catch problems the dynamic passes would only
+generator discipline and exception boundaries (including unguarded
+decodes of peer bytes) are all cheap AST passes that catch problems the dynamic passes would only
 hit probabilistically.
 """
 

@@ -31,10 +31,10 @@ Architecture (DESIGN.md §16):
              reached *through helper calls* from sim code
   procgen    process-yield, callback-yield, double-trigger — simulation
              process/generator discipline
-  wire       wire-symmetry — encode/decode field pairing for the wire
-             codecs (v1 header, v2 lane framing, ONC RPC, NFS types)
   boundary   exception-boundary — ``except`` clauses in transport/
-             fault-recovery code that would swallow ``SanitizerError``
+             fault-recovery code that would swallow ``SanitizerError``;
+             unguarded-decode — peer-bytes decoders in the RPC
+             transports called outside a ``try`` catching ``XdrError``
   ========== ==========================================================
 
 Surfaced as ``python -m repro check --static [--rule NAME]

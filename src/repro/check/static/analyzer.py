@@ -176,8 +176,8 @@ def analyze_source(source: str, path: str = "<fixture>",
 
     ``name`` controls which scoped rules see the module: the default
     ``repro.rpc.fixture`` lands in the hot-path/transport/sim scopes so
-    every pack is exercised; pass e.g. ``repro.core.header`` to hit the
-    wire-module list.
+    every pack is exercised; pass e.g. ``repro.experiments.fixture`` to
+    fall outside the transport scopes.
     """
     module = load_source(source, path=path, name=name)
     return analyze(program=Program([module]), rules=rules)

@@ -56,12 +56,11 @@ def _packs() -> tuple[RulePack, ...]:
         interproc,
         procgen,
         purity_pack,
-        wire,
         zerocost,
     )
 
     return (purity_pack.PACK, zerocost.PACK, interproc.PACK,
-            procgen.PACK, wire.PACK, boundary.PACK)
+            procgen.PACK, boundary.PACK)
 
 
 RULE_PACKS: tuple[RulePack, ...] = _packs()

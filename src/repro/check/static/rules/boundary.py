@@ -1,4 +1,4 @@
-"""Pack ``boundary`` — rule ``exception-boundary``.
+"""Pack ``boundary`` — rules ``exception-boundary`` and ``unguarded-decode``.
 
 The sanitizer contract (DESIGN.md §11): ``SanitizerError`` is
 deliberately *not* a ``ProtectionError`` subclass, so an invariant
@@ -19,16 +19,28 @@ body outside nested defs) passes: it observes the exception but lets it
 propagate.  Handlers for narrower, modeled exception types
 (``ProtectionError``, ``TransportError``, ``OSError``, ...) are the
 normal fault-handling path and are never flagged.
+
+``unguarded-decode`` is the other half of the boundary: bytes from a
+peer must fail closed.  In the RPC transport modules (``repro.core``,
+``repro.rpc``) every call to a peer-bytes decoder —
+``RpcRdmaHeader.decode``, ``RpcCall.decode``, ``RpcReply.decode`` and
+``unframe_message`` — must sit in the body of a ``try`` with a handler
+for ``XdrError`` (the decoders' one declared error), so a malformed
+frame becomes a counted drop instead of an exception that ends the
+simulation.  A ``try`` around a nested ``def`` does not guard calls
+inside it.
 """
 
 from __future__ import annotations
 
 import ast
+from typing import Optional
 
 from repro.check.static.frontend import Module, Program, dotted
 from repro.check.static.rules import Finding, RulePack
 
 RULE = "exception-boundary"
+DECODE_RULE = "unguarded-decode"
 
 #: module prefixes forming the transport / fault-recovery boundary.
 TRANSPORT_PREFIXES = ("repro.rpc.", "repro.ib.", "repro.nfs.",
@@ -37,6 +49,18 @@ TRANSPORT_PREFIXES = ("repro.rpc.", "repro.ib.", "repro.nfs.",
 #: exception names that (would) swallow sanitizer violations.
 _BROAD = {"Exception", "BaseException"}
 _FORBIDDEN = {"ReproError", "SanitizerError"}
+
+
+#: modules that receive peer bytes and must guard their decodes.
+DECODE_PREFIXES = ("repro.core.", "repro.rpc.")
+
+#: decoders of peer-supplied bytes (dotted-name suffixes).
+PEER_DECODERS = ("RpcRdmaHeader.decode", "RpcCall.decode",
+                 "RpcReply.decode", "unframe_message")
+
+#: handler types that catch XdrError (itself or an ancestor).
+_CATCHES_XDR = {"XdrError", "ValueError", "Exception", "BaseException",
+                "<bare>"}
 
 
 def _in_scope(module_name: str) -> bool:
@@ -98,18 +122,58 @@ def _check_module(module: Module, findings: list[Finding]) -> None:
                 f"or add a bare 'raise'"))
 
 
+def _peer_decoder(node: ast.Call) -> Optional[str]:
+    name = dotted(node.func)
+    if name is None:
+        return None
+    for decoder in PEER_DECODERS:
+        if name == decoder or name.endswith("." + decoder):
+            return decoder
+    return None
+
+
+def _check_decodes(module: Module, findings: list[Finding]) -> None:
+    def visit(node: ast.AST, guarded: bool) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            guarded = False
+        if isinstance(node, ast.Try):
+            catches = any(_CATCHES_XDR.intersection(_caught_names(h))
+                          for h in node.handlers)
+            for child in node.body:
+                visit(child, guarded or catches)
+            for child in [*node.handlers, *node.orelse, *node.finalbody]:
+                visit(child, guarded)
+            return
+        if isinstance(node, ast.Call) and not guarded:
+            decoder = _peer_decoder(node)
+            if decoder is not None:
+                findings.append(Finding(
+                    module.path, node.lineno, DECODE_RULE,
+                    f"{decoder}() decodes peer bytes outside a try that "
+                    f"catches XdrError; a malformed frame would escape "
+                    f"the receive path"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, guarded)
+
+    visit(module.tree, False)
+
+
 def run(program: Program) -> list[Finding]:
     findings: list[Finding] = []
     for module in program.modules:
         if _in_scope(module.name):
             _check_module(module, findings)
+        if module.name.startswith(DECODE_PREFIXES):
+            _check_decodes(module, findings)
     return findings
 
 
 PACK = RulePack(
     name="boundary",
-    rules=(RULE,),
+    rules=(RULE, DECODE_RULE),
     doc="except clauses in transport/fault-recovery code must not "
-        "swallow SanitizerError or the ReproError tree",
+        "swallow SanitizerError or the ReproError tree; peer-bytes "
+        "decoders must run under a try that catches XdrError",
     run=run,
 )

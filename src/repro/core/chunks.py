@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.ib.verbs import Segment
-from repro.rpc.xdr import XdrDecoder, XdrEncoder, XdrError
+from repro.rpc.xdr import U32, U64, array, optional, record
 
-__all__ = ["ChunkList", "ReadChunk", "WriteChunk"]
+__all__ = ["CHUNK_LIST", "ChunkList", "ReadChunk", "WriteChunk"]
 
 
 @dataclass(frozen=True)
@@ -55,32 +55,6 @@ class WriteChunk:
         return sum(s.length for s in self.segments)
 
 
-def _encode_segment(enc: XdrEncoder, seg: Segment) -> None:
-    enc.u32(seg.stag)
-    enc.u32(seg.length)
-    enc.u64(seg.addr)
-
-
-def _decode_segment(dec: XdrDecoder) -> Segment:
-    stag = dec.u32()
-    length = dec.u32()
-    addr = dec.u64()
-    return Segment(stag, addr, length)
-
-
-def _encode_write_chunk(enc: XdrEncoder, chunk: WriteChunk) -> None:
-    enc.array(list(chunk.segments), _encode_segment)
-
-
-def _decode_write_chunk(dec: XdrDecoder) -> WriteChunk:
-    segments = dec.array(_decode_segment, max_items=4096)
-    if not segments:
-        # A peer-supplied empty chunk is a malformed frame, not a
-        # programming error: fail with the decoder's typed error.
-        raise XdrError("write chunk needs at least one segment")
-    return WriteChunk(segments)
-
-
 @dataclass
 class ChunkList:
     """The three chunk lists carried by one RPC/RDMA header."""
@@ -99,27 +73,18 @@ class ChunkList:
     def read_length(self) -> int:
         return sum(c.length for c in self.read_chunks)
 
-    def encode(self, enc: XdrEncoder) -> None:
-        enc.array(
-            self.read_chunks,
-            lambda e, c: (e.u32(c.position), _encode_segment(e, c.segment)),
-        )
-        enc.array(self.write_chunks, _encode_write_chunk)
-        enc.optional(
-            self.reply_chunk,
-            lambda e, w: e.array(list(w.segments), _encode_segment),
-        )
 
-    @classmethod
-    def decode(cls, dec: XdrDecoder) -> "ChunkList":
-        read_chunks = dec.array(
-            lambda d: ReadChunk(position=d.u32(), segment=_decode_segment(d)),
-            max_items=4096,
-        )
-        write_chunks = dec.array(_decode_write_chunk, max_items=256)
-        reply = dec.optional(lambda d: d.array(_decode_segment, max_items=4096))
-        return cls(
-            read_chunks=read_chunks,
-            write_chunks=write_chunks,
-            reply_chunk=WriteChunk(reply) if reply else None,
-        )
+#: (handle u32, length u32, offset u64) — RFC 5666's segment.
+SEGMENT = record(Segment, ("stag", U32), ("length", U32), ("addr", U64))
+
+#: Segment counts per chunk are capped; so are write chunks per list.
+_SEGMENTS = array(SEGMENT, max_items=4096)
+_WRITE_CHUNK = record(WriteChunk, ("segments", _SEGMENTS))
+
+CHUNK_LIST = record(
+    ChunkList,
+    ("read_chunks", array(record(ReadChunk, ("position", U32), ("segment", SEGMENT)),
+                          max_items=4096)),
+    ("write_chunks", array(_WRITE_CHUNK, max_items=256)),
+    ("reply_chunk", optional(_WRITE_CHUNK)),
+)

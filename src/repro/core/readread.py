@@ -35,7 +35,8 @@ from repro.core.chunks import ChunkList, ReadChunk
 from repro.core.header import MessageType, RpcRdmaHeader
 from repro.core.strategies import RegisteredRegion
 from repro.ib.memory import AccessFlags
-from repro.rpc.msg import RpcCall, RpcReply, frame_message, unframe_message
+from repro.rpc.msg import RpcCall, RpcReply, frame_message
+from repro.rpc.transport import RpcTimeout
 from repro.sim import Counter, Store
 
 __all__ = ["ReadReadClient", "ReadReadServer"]
@@ -93,9 +94,13 @@ class ReadReadClient(RpcRdmaClientBase):
             message = header.rpc_message
         else:
             raise TransportError(f"{self.name}: unexpected reply type {header.mtype}")
-        rpc_header, inline_payload = unframe_message(message)
-        reply = RpcReply.decode(rpc_header)
-        reply.read_payload = inline_payload
+        try:
+            reply = self._decode_reply(message)
+        except RpcTimeout:
+            if fetched_chunks:
+                # Still release the server's exposed buffers.
+                yield from self._send_done(header.xid)
+            raise
         # READ data chunks: server-exposed; client issues the RDMA Reads.
         data = header.chunks.read_chunks_at(DATA_CHUNK_POSITION)
         if data:

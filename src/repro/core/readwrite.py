@@ -37,7 +37,7 @@ from repro.core.base import (
 from repro.core.chunks import ChunkList, WriteChunk
 from repro.core.header import MessageType, RpcRdmaHeader
 from repro.ib.memory import AccessFlags
-from repro.rpc.msg import RpcCall, RpcReply, frame_message, unframe_message
+from repro.rpc.msg import RpcCall, RpcReply, frame_message
 from repro.sim import Counter
 
 __all__ = ["ReadWriteClient", "ReadWriteServer"]
@@ -107,9 +107,7 @@ class ReadWriteClient(RpcRdmaClientBase):
             message = header.rpc_message
         else:
             raise TransportError(f"{self.name}: unexpected reply type {header.mtype}")
-        rpc_header, inline_payload = unframe_message(message)
-        reply = RpcReply.decode(rpc_header)
-        reply.read_payload = inline_payload
+        reply = self._decode_reply(message)
         # READ data: already in client memory courtesy of the server's
         # RDMA Writes; the echoed write chunk tells us how much arrived.
         if header.chunks.write_chunks:

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.rpc.xdr import XdrDecoder, XdrEncoder, XdrError
+from repro.rpc.xdr import U32, U64, const, record
 
-__all__ = ["FileHandle"]
+__all__ = ["FH", "FileHandle"]
 
 _FH_BYTES = 16
 
@@ -19,21 +19,8 @@ class FileHandle:
     fileid: int
     generation: int = 0
 
-    def encode(self, enc: XdrEncoder) -> None:
-        body = (
-            self.fsid.to_bytes(4, "big")
-            + self.fileid.to_bytes(8, "big")
-            + self.generation.to_bytes(4, "big")
-        )
-        enc.opaque(body)
 
-    @classmethod
-    def decode(cls, dec: XdrDecoder) -> "FileHandle":
-        body = dec.opaque()
-        if len(body) != _FH_BYTES:
-            raise XdrError(f"file handle of {len(body)} bytes, expected {_FH_BYTES}")
-        return cls(
-            fsid=int.from_bytes(body[0:4], "big"),
-            fileid=int.from_bytes(body[4:12], "big"),
-            generation=int.from_bytes(body[12:16], "big"),
-        )
+#: The handle travels as an XDR opaque whose length is always 16: a
+#: fixed-width layout, so it packs with its neighbours in one struct.
+FH = record(FileHandle, const(U32, _FH_BYTES),
+            ("fsid", U32), ("fileid", U64), ("generation", U32))

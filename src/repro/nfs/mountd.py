@@ -20,15 +20,17 @@ from dataclasses import dataclass
 from typing import Generator
 
 from repro.fs.api import FileSystem, FsError
-from repro.nfs.fh import FileHandle
-from repro.rpc.msg import RpcCall, RpcReply
+from repro.nfs.fh import FH, FileHandle
+from repro.rpc.msg import MSG_DENIED, RpcCall, RpcReply
 from repro.rpc.svc import RpcServer
 from repro.rpc.transport import RpcClientTransport
-from repro.rpc.xdr import XdrDecoder, XdrEncoder, XdrError
+from repro.rpc.xdr import STRING, U32, VOID, Procedure, XdrError, array, result, seq
 from repro.sim import Counter
 
 __all__ = [
     "Export",
+    "GETPORT",
+    "MOUNT_PROCS",
     "MountClient",
     "MountServer",
     "Portmapper",
@@ -51,6 +53,21 @@ MNT3_OK = 0
 MNT3ERR_NOENT = 2
 MNT3ERR_ACCES = 13
 MNT3ERR_NOTDIR = 20
+
+#: GETPORT: (prog, vers) -> port (0 = not registered).
+GETPORT = Procedure(seq(U32, U32), U32)
+
+_CLIENT_PATH = seq(STRING, STRING)   # (client name, export path)
+
+MOUNT_PROCS: dict[int, Procedure] = {
+    # -> (status, root handle when status is MNT3_OK)
+    MNT: Procedure(_CLIENT_PATH, result(U32, MNT3_OK, FH)),
+    UMNT: Procedure(_CLIENT_PATH, U32),
+    # -> export paths
+    EXPORT: Procedure(VOID, array(STRING)),
+    # -> active (client name, export path) mounts
+    DUMP: Procedure(VOID, array(_CLIENT_PATH)),
+}
 
 
 @dataclass(frozen=True)
@@ -79,16 +96,15 @@ class Portmapper:
     def handle(self, call: RpcCall) -> Generator:
         if False:
             yield
-        dec = XdrDecoder(call.header)
-        enc = XdrEncoder()
+        port = 0
         if call.proc == PMAP_GETPORT:
-            prog = dec.u32()
-            vers = dec.u32()
+            try:
+                prog, vers = GETPORT.args.decode(call.header)
+            except XdrError:
+                return RpcReply(xid=call.xid, stat=MSG_DENIED, header=b"")
             self.lookups.add()
-            enc.u32(self._registry.get((prog, vers), 0))
-        else:
-            enc.u32(0)
-        return RpcReply(xid=call.xid, header=enc.take())
+            port = self._registry.get((prog, vers), 0)
+        return RpcReply(xid=call.xid, header=GETPORT.res.encode(port))
 
 
 class MountServer:
@@ -106,43 +122,32 @@ class MountServer:
         rpc_server.register_program(MOUNT_PROG, MOUNT_VERS, self.handle)
 
     def handle(self, call: RpcCall) -> Generator:
-        dec = XdrDecoder(call.header)
-        try:
-            if call.proc == MNT:
-                return (yield from self._mnt(call, dec))
-            if call.proc == UMNT:
-                client = dec.string()
-                path = dec.string()
-                self.mounts.pop((client, path), None)
-                return RpcReply(xid=call.xid, header=XdrEncoder().u32(0).take())
-            if call.proc == EXPORT:
-                enc = XdrEncoder()
-                enc.array(sorted(self.exports), lambda e, p: e.string(p))
-                return RpcReply(xid=call.xid, header=enc.take())
-            if call.proc == DUMP:
-                enc = XdrEncoder()
-                enc.array(
-                    sorted(self.mounts),
-                    lambda e, key: (e.string(key[0]), e.string(key[1])),
-                )
-                return RpcReply(xid=call.xid, header=enc.take())
-        except XdrError:
-            pass
-        return RpcReply(xid=call.xid, stat=1, header=b"")
+        proc = MOUNT_PROCS.get(call.proc)
+        if proc is not None:
+            try:
+                args = proc.args.decode(call.header)
+                if call.proc == MNT:
+                    res = yield from self._mnt(*args)
+                elif call.proc == UMNT:
+                    self.mounts.pop(args, None)
+                    res = 0
+                elif call.proc == EXPORT:
+                    res = sorted(self.exports)
+                else:
+                    res = sorted(self.mounts)
+                return RpcReply(xid=call.xid, header=proc.res.encode(res))
+            except XdrError:
+                pass
+        return RpcReply(xid=call.xid, stat=MSG_DENIED, header=b"")
 
-    def _mnt(self, call: RpcCall, dec: XdrDecoder) -> Generator:
-        client = dec.string()
-        path = dec.string()
-        enc = XdrEncoder()
+    def _mnt(self, client: str, path: str) -> Generator:
         export = self.exports.get(path)
         if export is None:
             self.rejections.add()
-            enc.u32(MNT3ERR_NOENT)
-            return RpcReply(xid=call.xid, header=enc.take())
+            return MNT3ERR_NOENT, None
         if not export.admits(client):
             self.rejections.add()
-            enc.u32(MNT3ERR_ACCES)
-            return RpcReply(xid=call.xid, header=enc.take())
+            return MNT3ERR_ACCES, None
         # Resolve the export path inside the backend file system.
         fileid = self.fs.root_id
         for part in [p for p in path.split("/") if p]:
@@ -150,14 +155,11 @@ class MountServer:
                 fileid = yield from self.fs.lookup(fileid, part)
             except FsError:
                 self.rejections.add()
-                enc.u32(MNT3ERR_NOENT)
-                return RpcReply(xid=call.xid, header=enc.take())
+                return MNT3ERR_NOENT, None
         fh = FileHandle(fsid=self.fsid, fileid=fileid)
         self.mounts[(client, path)] = fh
         self.grants.add()
-        enc.u32(MNT3_OK)
-        fh.encode(enc)
-        return RpcReply(xid=call.xid, header=enc.take())
+        return MNT3_OK, fh
 
 
 class MountError(Exception):
@@ -175,38 +177,33 @@ class MountClient:
         self.transport = transport
         self.client_name = client_name
 
-    def getport(self, prog: int, vers: int) -> Generator:
-        enc = XdrEncoder()
-        enc.u32(prog)
-        enc.u32(vers)
-        call = RpcCall(prog=PMAP_PROG, vers=PMAP_VERS, proc=PMAP_GETPORT,
-                       header=enc.take())
+    def _call(self, prog: int, vers: int, proc: int, codec: Procedure,
+              args) -> Generator:
+        call = RpcCall(prog=prog, vers=vers, proc=proc,
+                       header=codec.args.encode(args))
         reply = yield from self.transport.call(call)
-        return XdrDecoder(reply.header).u32()
+        return reply
+
+    def getport(self, prog: int, vers: int) -> Generator:
+        reply = yield from self._call(PMAP_PROG, PMAP_VERS, PMAP_GETPORT,
+                                      GETPORT, (prog, vers))
+        return GETPORT.res.decode(reply.header)
 
     def mount(self, path: str) -> Generator:
         """→ the export's root FileHandle, or raises MountError."""
-        enc = XdrEncoder()
-        enc.string(self.client_name)
-        enc.string(path)
-        call = RpcCall(prog=MOUNT_PROG, vers=MOUNT_VERS, proc=MNT,
-                       header=enc.take())
-        reply = yield from self.transport.call(call)
-        dec = XdrDecoder(reply.header)
-        status = dec.u32()
+        proc = MOUNT_PROCS[MNT]
+        reply = yield from self._call(MOUNT_PROG, MOUNT_VERS, MNT, proc,
+                                      (self.client_name, path))
+        status, fh = proc.res.decode(reply.header)
         if status != MNT3_OK:
             raise MountError(status)
-        return FileHandle.decode(dec)
+        return fh
 
     def unmount(self, path: str) -> Generator:
-        enc = XdrEncoder()
-        enc.string(self.client_name)
-        enc.string(path)
-        call = RpcCall(prog=MOUNT_PROG, vers=MOUNT_VERS, proc=UMNT,
-                       header=enc.take())
-        yield from self.transport.call(call)
+        yield from self._call(MOUNT_PROG, MOUNT_VERS, UMNT, MOUNT_PROCS[UMNT],
+                              (self.client_name, path))
 
     def list_exports(self) -> Generator:
-        call = RpcCall(prog=MOUNT_PROG, vers=MOUNT_VERS, proc=EXPORT, header=b"")
-        reply = yield from self.transport.call(call)
-        return XdrDecoder(reply.header).array(lambda d: d.string())
+        proc = MOUNT_PROCS[EXPORT]
+        reply = yield from self._call(MOUNT_PROG, MOUNT_VERS, EXPORT, proc, None)
+        return proc.res.decode(reply.header)

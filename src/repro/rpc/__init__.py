@@ -13,7 +13,7 @@ sizes — exactly the information the Read-Write design needs from the
 upper layer to advertise write/reply chunks in the RPC call.
 """
 
-from repro.rpc.xdr import XdrDecoder, XdrEncoder, XdrError
+from repro.rpc.xdr import XdrError
 from repro.rpc.msg import (
     MSG_ACCEPTED,
     MSG_DENIED,
@@ -37,7 +37,5 @@ __all__ = [
     "RpcServerTransport",
     "TcpRpcClient",
     "TcpRpcServerTransport",
-    "XdrDecoder",
-    "XdrEncoder",
     "XdrError",
 ]

@@ -25,7 +25,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.rpc.xdr import XdrDecoder, XdrEncoder
+from repro.rpc.xdr import (
+    OPAQUE, TAIL, U32, XdrError, const, ignore, record, union,
+)
 
 __all__ = [
     "MSG_ACCEPTED",
@@ -47,7 +49,8 @@ MSG_DENIED = 1
 
 
 class RpcError(Exception):
-    """Protocol-level RPC failure (garbage args, prog unavailable...)."""
+    """A program handler's rejection of a call (garbage args...); the
+    dispatcher answers it with a denied reply."""
 
 
 @dataclass
@@ -83,33 +86,11 @@ class RpcCall:
 
     def encode(self) -> bytes:
         """Wire encoding of the call *header* (bulk rides separately)."""
-        enc = XdrEncoder()
-        enc.u32(self.xid)
-        enc.u32(CALL)
-        enc.u32(RPC_VERSION)
-        enc.u32(self.prog)
-        enc.u32(self.vers)
-        enc.u32(self.proc)
-        # AUTH_NONE credential + verifier.
-        enc.u32(0).opaque(b"")
-        enc.u32(0).opaque(b"")
-        enc.raw(_aligned(self.header))
-        return enc.take()
+        return CALL_MSG.encode(self)
 
     @classmethod
-    def decode(cls, data: bytes, header_len: Optional[int] = None) -> "RpcCall":
-        dec = XdrDecoder(data)
-        xid = dec.u32()
-        if dec.u32() != CALL:
-            raise RpcError("not an RPC call")
-        if dec.u32() != RPC_VERSION:
-            raise RpcError("bad RPC version")
-        prog, vers, proc = dec.u32(), dec.u32(), dec.u32()
-        dec.u32(); dec.opaque()  # cred
-        dec.u32(); dec.opaque()  # verf
-        header = dec.remainder()
-        call = cls(prog=prog, vers=vers, proc=proc, header=header, xid=xid)
-        return call
+    def decode(cls, data: bytes) -> "RpcCall":
+        return CALL_MSG.decode(data)
 
 
 @dataclass
@@ -124,33 +105,35 @@ class RpcReply:
     trace_id: Optional[int] = None
 
     def encode(self) -> bytes:
-        enc = XdrEncoder()
-        enc.u32(self.xid)
-        enc.u32(REPLY)
-        enc.u32(self.stat)
-        enc.u32(0).opaque(b"")  # verifier
-        enc.u32(0)              # accept stat SUCCESS
-        enc.raw(_aligned(self.header))
-        return enc.take()
+        return REPLY_MSG.encode(self)
 
     @classmethod
     def decode(cls, data: bytes) -> "RpcReply":
-        dec = XdrDecoder(data)
-        xid = dec.u32()
-        if dec.u32() != REPLY:
-            raise RpcError("not an RPC reply")
-        stat = dec.u32()
-        dec.u32(); dec.opaque()  # verifier
-        accept = dec.u32()
-        if stat == MSG_ACCEPTED and accept != 0:
-            raise RpcError(f"RPC accepted with error status {accept}")
-        return cls(xid=xid, stat=stat, header=dec.remainder())
+        return REPLY_MSG.decode(data)
 
 
-def _aligned(data: bytes) -> bytes:
-    """Pad arbitrary header bytes to XDR alignment for splicing."""
-    pad = (4 - len(data) % 4) % 4
-    return data + b"\x00" * pad if pad else data
+#: AUTH_NONE: flavor 0 and an empty body (credential and verifier).
+#: Flavors are not checked on decode.
+_AUTH_NONE = [ignore(U32, 0), ignore(OPAQUE, b"")]
+
+CALL_MSG = record(
+    RpcCall,
+    ("xid", U32), const(U32, CALL), const(U32, RPC_VERSION),
+    ("prog", U32), ("vers", U32), ("proc", U32),
+    *_AUTH_NONE,   # credential
+    *_AUTH_NONE,   # verifier
+    ("header", TAIL),
+)
+
+#: Accept status is written as SUCCESS; an accepted reply carrying any
+#: other accept status is rejected, a denied one is not inspected.
+REPLY_MSG = record(
+    RpcReply,
+    ("xid", U32), const(U32, REPLY), ("stat", U32),
+    *_AUTH_NONE,   # verifier
+    union("stat", {MSG_ACCEPTED: [const(U32, 0)]}, default=[ignore(U32, 0)]),
+    ("header", TAIL),
+)
 
 
 import struct as _struct
@@ -185,18 +168,18 @@ def unframe_message(message) -> tuple[bytes, "Optional[bytes | Payload]"]:
     with.
     """
     if len(message) < 4:
-        raise RpcError("short RPC record")
+        raise XdrError("short RPC record")
     if isinstance(message, Payload):
         head = message[0:4].tobytes()
         (hlen,) = _FRAME_LEN.unpack(head)
         if 4 + hlen > len(message):
-            raise RpcError("RPC record header overruns message")
+            raise XdrError("RPC record header overruns message")
         header = message[4:4 + hlen].tobytes()
         payload = message[4 + hlen:] or None
         return header, payload
     (hlen,) = _FRAME_LEN.unpack_from(message)
     if 4 + hlen > len(message):
-        raise RpcError("RPC record header overruns message")
+        raise XdrError("RPC record header overruns message")
     header = message[4 : 4 + hlen]
     payload = message[4 + hlen :] or None
     return header, payload

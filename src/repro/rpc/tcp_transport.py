@@ -18,6 +18,7 @@ from typing import Generator, Optional
 from repro.rpc.msg import RpcCall, RpcReply, frame_message, unframe_message
 from repro.rpc.svc import RpcServer
 from repro.rpc.transport import RpcClientTransport, RpcServerTransport, RpcTimeout
+from repro.rpc.xdr import XdrError
 from repro.sim import AnyOf, Counter, Event
 from repro.tcpip.tcp import TcpConnection, TcpEndpoint
 
@@ -47,6 +48,8 @@ class TcpRpcClient(RpcClientTransport):
         self._pending: dict[int, Event] = {}
         self.calls_sent = Counter(f"{name}.calls")
         self.retransmissions = Counter(f"{name}.retrans")
+        #: undecodable reply records, dropped by the receive loop.
+        self.malformed_received = Counter(f"{name}.malformed")
         self.sim.process(self._receiver(), name=f"{name}.rx")
 
     def call(self, call: RpcCall) -> Generator:
@@ -108,8 +111,14 @@ class TcpRpcClient(RpcClientTransport):
     def _receiver(self) -> Generator:
         while True:
             message = yield self.conn.recv(self.endpoint)
-            header, payload = unframe_message(message)
-            reply = RpcReply.decode(header)
+            try:
+                header, payload = unframe_message(message)
+                reply = RpcReply.decode(header)
+            except XdrError:
+                # Garbage from a buggy or hostile server: drop it; the
+                # call it might have answered waits like a lost reply.
+                self.malformed_received.add()
+                continue
             reply.read_payload = payload
             waiter = self._pending.pop(reply.xid, None)
             if waiter is None:
@@ -128,6 +137,8 @@ class TcpRpcServerTransport(RpcServerTransport):
         self.name = name
         self.server: Optional[RpcServer] = None
         self.calls_received = Counter(f"{name}.calls")
+        #: undecodable call records, dropped by the receive loop.
+        self.malformed_received = Counter(f"{name}.malformed")
         #: failure injection: silently discard this many replies.
         self.drop_next_replies = 0
         self.replies_dropped = Counter(f"{name}.dropped")
@@ -142,8 +153,14 @@ class TcpRpcServerTransport(RpcServerTransport):
         assert self.server is not None
         while True:
             message = yield self.conn.recv(self.endpoint)
-            header, payload = unframe_message(message)
-            call = RpcCall.decode(header)
+            try:
+                header, payload = unframe_message(message)
+                call = RpcCall.decode(header)
+            except XdrError:
+                # Undecodable record from a hostile client: count it,
+                # send nothing, keep serving the connection.
+                self.malformed_received.add()
+                continue
             call.write_payload = payload
             self.calls_received.add()
             # Blocking submit: a full bounded run queue stalls the

@@ -247,75 +247,6 @@ def test_procgen_good_guarded_and_fresh_triggers():
     assert report.ok
 
 
-# ---------------------------------------------------------------- wire
-WIRE_BAD = """
-    class Header:
-        def encode(self, enc):
-            enc.u32(self.xid)
-            enc.u64(self.offset)
-
-        @classmethod
-        def decode(cls, dec):
-            xid = dec.u32()
-            offset = dec.u32()
-            return cls(xid, offset)
-"""
-
-WIRE_GOOD = """
-    class Header:
-        def encode(self, enc):
-            enc.u32(self.xid)
-            enc.u64(self.offset)
-            if self.version >= 2:
-                enc.u32(self.lane)
-
-        @classmethod
-        def decode(cls, dec):
-            xid = dec.u32()
-            offset = dec.u64()
-            lane = 0
-            if dec.peek_version() >= 2:
-                lane = dec.u32()
-            return cls(xid, offset, lane)
-"""
-
-
-def test_wire_bad_mismatched_field():
-    report = run(WIRE_BAD, name="repro.core.header")
-    assert rules_of(report) == {"wire-symmetry"}
-    (finding,) = report.findings
-    assert "u64" in finding.message and "u32" in finding.message
-
-
-def test_wire_good_symmetric_with_optional_group():
-    report = run(WIRE_GOOD, name="repro.core.header")
-    assert report.ok
-
-
-def test_wire_scoped_to_wire_modules():
-    # The same asymmetric codec outside the wire modules is not checked.
-    report = run(WIRE_BAD, name="repro.experiments.fixture")
-    assert report.ok
-
-
-def test_wire_missing_trailing_read():
-    report = run(
-        """
-        class Msg:
-            def encode(self, enc):
-                enc.u32(1).opaque(self.body)
-
-            @classmethod
-            def decode(cls, dec):
-                return cls(dec.u32())
-        """,
-        name="repro.rpc.msg",
-    )
-    (finding,) = report.findings
-    assert finding.rule == "wire-symmetry"
-    assert "never read" in finding.message
-
-
 # ---------------------------------------------------------------- boundary
 def test_boundary_bad_broad_except():
     report = run("""
@@ -368,6 +299,65 @@ def test_boundary_scoped_to_transport_modules():
         """,
         name="repro.experiments.fixture",
     )
+    assert report.ok
+
+
+DECODE_BAD = """
+    from repro.rpc.msg import RpcCall, unframe_message
+    from repro.errors import TransportError
+
+    def receive(message):
+        try:
+            header, payload = unframe_message(message)
+        except TransportError:
+            return None
+        return RpcCall.decode(header)
+"""
+
+
+def test_boundary_bad_unguarded_peer_decode():
+    report = run(DECODE_BAD, name="repro.core.fixture")
+    assert rules_of(report) == {"unguarded-decode"}
+    assert sorted(f.message.split("(")[0] for f in report.findings) == [
+        "RpcCall.decode", "unframe_message"]
+
+
+def test_boundary_good_decode_under_xdr_handler():
+    report = run("""
+        from repro.core.header import RpcRdmaHeader
+        from repro.rpc.msg import RpcReply, unframe_message
+        from repro.rpc.xdr import XdrError
+
+        def receive(raw, counter):
+            try:
+                header = RpcRdmaHeader.decode(raw)
+                body, _ = unframe_message(header.rpc_message)
+                return RpcReply.decode(body)
+            except (KeyError, XdrError):
+                counter.add()
+                return None
+    """, name="repro.rpc.fixture")
+    assert report.ok
+
+
+def test_boundary_decode_in_nested_def_is_not_guarded():
+    report = run("""
+        from repro.rpc.msg import RpcReply
+        from repro.rpc.xdr import XdrError
+
+        def receive(raw):
+            try:
+                def later():
+                    return RpcReply.decode(raw)
+            except XdrError:
+                return None
+            return later
+    """, name="repro.core.fixture")
+    assert rules_of(report) == {"unguarded-decode"}
+
+
+def test_boundary_decode_scoped_to_rpc_transports():
+    report = run(DECODE_BAD, name="repro.experiments.fixture")
     assert report.ok
 
 
@@ -424,7 +414,7 @@ def test_rule_names_cover_all_packs():
     names = rule_names()
     for expected in ("wallclock", "zero-cost-off", "purity-escape",
                      "process-yield", "callback-yield", "double-trigger",
-                     "wire-symmetry", "exception-boundary",
+                     "exception-boundary", "unguarded-decode",
                      "unused-suppression"):
         assert expected in names
 
@@ -449,14 +439,14 @@ def test_cli_static_text(capsys):
 def test_cli_static_json_with_rule(capsys):
     from repro.__main__ import main
 
-    assert main(["check", "--static", "--rule", "wire",
+    assert main(["check", "--static", "--rule", "unguarded-decode",
                  "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
-    assert payload["rules_run"] == ["wire-symmetry"]
+    assert payload["rules_run"] == ["unguarded-decode"]
 
 
 def test_cli_rule_requires_static(capsys):
     from repro.__main__ import main
 
-    assert main(["check", "--rule", "wire"]) == 2
+    assert main(["check", "--rule", "unguarded-decode"]) == 2

@@ -3,10 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.chunks import ChunkList, ReadChunk, WriteChunk
+from repro.core.chunks import CHUNK_LIST, ChunkList, ReadChunk, WriteChunk
 from repro.core.header import MessageType, RpcRdmaHeader
 from repro.ib.verbs import Segment
-from repro.rpc.xdr import XdrDecoder, XdrEncoder, XdrError
+from repro.rpc.xdr import U32, XdrError
 
 
 def seg(stag=0x1234, addr=0x10000, length=4096):
@@ -14,9 +14,9 @@ def seg(stag=0x1234, addr=0x10000, length=4096):
 
 
 def test_empty_chunk_list_roundtrip():
-    enc = XdrEncoder()
-    ChunkList().encode(enc)
-    out = ChunkList.decode(XdrDecoder(enc.take()))
+    raw = CHUNK_LIST.encode(ChunkList())
+    assert raw == bytes(12)  # three empty lists: 0, 0, absent
+    out = CHUNK_LIST.decode(raw)
     assert out.empty
 
 
@@ -26,9 +26,7 @@ def test_full_chunk_list_roundtrip():
         write_chunks=[WriteChunk([seg(3, 300, 30), seg(4, 400, 40)])],
         reply_chunk=WriteChunk([seg(5, 500, 50)]),
     )
-    enc = XdrEncoder()
-    chunks.encode(enc)
-    out = ChunkList.decode(XdrDecoder(enc.take()))
+    out = CHUNK_LIST.decode(CHUNK_LIST.encode(chunks))
     assert out.read_chunks == chunks.read_chunks
     assert out.write_chunks == chunks.write_chunks
     assert out.reply_chunk == chunks.reply_chunk
@@ -45,6 +43,11 @@ def test_chunk_list_position_filter():
 def test_write_chunk_requires_segments():
     with pytest.raises(ValueError):
         WriteChunk([])
+    # From the wire, an empty write or reply chunk is a typed error.
+    for raw in (U32.encode(0) + U32.encode(1) + U32.encode(0) + U32.encode(0),
+                U32.encode(0) + U32.encode(0) + U32.encode(1) + U32.encode(0)):
+        with pytest.raises(XdrError):
+            CHUNK_LIST.decode(raw)
 
 
 def test_write_chunk_capacity():
@@ -103,6 +106,13 @@ def test_header_wire_size_counts_chunks():
         chunks=ChunkList(read_chunks=[ReadChunk(0, seg())] * 4),
     ).wire_size
     assert with_chunks > small
+    assert with_chunks - small == 4 * 20  # (position, stag, length, addr)
+
+
+def test_header_encoded_once_per_object():
+    header = RpcRdmaHeader(xid=1, credits=1, mtype=MessageType.RDMA_MSG)
+    assert header.encode() is header.encode()
+    assert header.wire_size == len(header.encode())
 
 
 segments_st = st.builds(
@@ -134,3 +144,35 @@ def test_header_roundtrip_property(reads, writes, reply, body):
     assert out.chunks.write_chunks == header.chunks.write_chunks
     assert out.chunks.reply_chunk == header.chunks.reply_chunk
     assert out.rpc_message == body
+
+
+def test_header_encoded_once_per_send(monkeypatch):
+    """The inline-threshold check and the Send share one encoding."""
+    import repro.core.header as header_mod
+    from repro.experiments import Cluster, ClusterConfig
+
+    encodes = []
+    real = header_mod.HEADER
+
+    class Counting:
+        def encode(self, header):
+            encodes.append(header.xid)
+            return real.encode(header)
+
+        def decode(self, data):
+            return real.decode(data)
+
+    monkeypatch.setattr(header_mod, "HEADER", Counting())
+    c = Cluster(ClusterConfig(transport="rdma-rw"))
+    nfs = c.mounts[0].nfs
+
+    def io():
+        fh, _ = yield from nfs.create(nfs.root, "once")
+        yield from nfs.write(fh, 0, bytes(8192))
+        yield from nfs.read(fh, 0, 8192)
+
+    c.run(io())
+    sends = (c.mounts[0].transport.headers_sent.events
+             + sum(t.headers_sent.events for t in c.server_transports))
+    assert sends > 0
+    assert len(encodes) == sends

@@ -4,9 +4,9 @@ import pytest
 
 from repro.experiments import Cluster, ClusterConfig
 from repro.nfs import FileHandle, NfsError
-from repro.nfs.protocol import Nfs3Proc, Nfs3Status
+from repro.nfs.fh import FH
+from repro.nfs.protocol import NFS3_PROCS, STATUS_REPLY, Nfs3Proc, Nfs3Status
 from repro.rpc.msg import RpcCall
-from repro.rpc.xdr import XdrEncoder
 
 
 def make():
@@ -32,16 +32,12 @@ def test_unknown_procedure_serverfault():
     c, nfs = make()
 
     def proc():
-        enc = XdrEncoder()
-        nfs.root.encode(enc)
-        call = RpcCall(prog=100003, vers=3, proc=99, header=enc.take())
+        call = RpcCall(prog=100003, vers=3, proc=99, header=FH.encode(nfs.root))
         reply = yield from nfs.transport.call(call)
         return reply
 
     reply = c.run(proc())
-    from repro.rpc.xdr import XdrDecoder
-
-    assert XdrDecoder(reply.header).u32() == int(Nfs3Status.SERVERFAULT)
+    assert STATUS_REPLY.decode(reply.header) == (Nfs3Status.SERVERFAULT, None)
 
 
 def test_malformed_args_inval():
@@ -54,9 +50,7 @@ def test_malformed_args_inval():
         return reply
 
     reply = c.run(proc())
-    from repro.rpc.xdr import XdrDecoder
-
-    assert XdrDecoder(reply.header).u32() == int(Nfs3Status.INVAL)
+    assert STATUS_REPLY.decode(reply.header) == (Nfs3Status.INVAL, None)
 
 
 def test_write_count_payload_mismatch_rejected():
@@ -64,20 +58,15 @@ def test_write_count_payload_mismatch_rejected():
 
     def proc():
         fh, _ = yield from nfs.create(nfs.root, "f")
-        enc = XdrEncoder()
-        fh.encode(enc)
-        enc.u64(0)
-        enc.u32(500)   # claims 500 bytes
-        enc.u32(0)
+        # The count claims 500 bytes.
+        args = NFS3_PROCS[Nfs3Proc.WRITE].args.encode((fh, 0, 500, 0))
         call = RpcCall(prog=100003, vers=3, proc=int(Nfs3Proc.WRITE),
-                       header=enc.take(), write_payload=b"only-14-bytes!")
+                       header=args, write_payload=b"only-14-bytes!")
         reply = yield from nfs.transport.call(call)
         return reply
 
     reply = c.run(proc())
-    from repro.rpc.xdr import XdrDecoder
-
-    assert XdrDecoder(reply.header).u32() == int(Nfs3Status.INVAL)
+    assert STATUS_REPLY.decode(reply.header) == (Nfs3Status.INVAL, None)
 
 
 def test_read_of_empty_file_is_eof():
