@@ -29,8 +29,8 @@ Architecture (DESIGN.md §16):
              ``is None`` guard
   interproc  purity-escape — wallclock/global-RNG/set-iteration
              reached *through helper calls* from sim code
-  procgen    process-yield, callback-yield, double-trigger — simulation
-             process/generator discipline
+  procgen    process-yield, yield-in-finally, callback-yield,
+             double-trigger — simulation process/generator discipline
   boundary   exception-boundary — ``except`` clauses in transport/
              fault-recovery code that would swallow ``SanitizerError``;
              unguarded-decode — peer-bytes decoders in the RPC

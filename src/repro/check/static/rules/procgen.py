@@ -1,6 +1,6 @@
 """Pack ``procgen`` — simulation process/generator discipline.
 
-Three rules over the engine's process model (DESIGN.md §13):
+Four rules over the engine's process model (DESIGN.md §13):
 
 ``process-yield``
     A *process generator* — one handed to ``sim.process(...)`` /
@@ -10,6 +10,20 @@ Three rules over the engine's process model (DESIGN.md §13):
     ``SimulationError: yielded X, expected Event`` at runtime; the rule
     moves that crash to lint time.  (Plain data iterators are *not*
     process generators and stay free to yield anything.)
+
+``yield-in-finally``
+    A process generator must not yield inside a ``finally`` block.  When
+    an aborted run leaves the process suspended, garbage collection
+    closes its generator: the ``finally`` runs under ``GeneratorExit``,
+    and a yield there is ``RuntimeError: generator ignored
+    GeneratorExit``, reported through ``sys.unraisablehook``.  Clean-up
+    that waits on events belongs on the normal and error paths instead,
+    with a path that does not wait for ``GeneratorExit``.  The rule
+    covers every generator function, not only the discovered process
+    generators: discovery cannot follow dynamic dispatch (a transport's
+    ``call``, a responder closure handed to the dispatcher), and a
+    data iterator closed inside a yielding ``finally`` fails the same
+    way.
 
 ``callback-yield``
     Functions registered as event callbacks (``ev.callbacks.append(f)``)
@@ -30,12 +44,13 @@ Three rules over the engine's process model (DESIGN.md §13):
 from __future__ import annotations
 
 import ast
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.check.static.frontend import FunctionInfo, Program, dotted
 from repro.check.static.rules import Finding, RulePack
 
-RULES = ("process-yield", "callback-yield", "double-trigger")
+RULES = ("process-yield", "yield-in-finally", "callback-yield",
+         "double-trigger")
 
 #: yield operands that can never produce an Event.
 _NON_EVENT_YIELDS = (ast.Constant, ast.List, ast.Tuple, ast.Dict, ast.Set,
@@ -99,6 +114,33 @@ def _check_yields(info: FunctionInfo, findings: list[Finding]) -> None:
                 f"{shown} in process generator {info.name}(); process "
                 f"generators may only yield Event/Timeout-producing "
                 f"expressions"))
+
+
+def _finally_yields(node: ast.AST) -> Iterator[ast.AST]:
+    """Yields lexically inside a ``finally`` block of ``node`` (nested
+    defs and lambdas excluded: they are other functions)."""
+    stack: list[tuple[ast.AST, bool]] = [(child, False)
+                                         for child in ast.iter_child_nodes(node)]
+    while stack:
+        current, in_finally = stack.pop()
+        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.Lambda, ast.ClassDef)):
+            continue
+        if in_finally and isinstance(current, (ast.Yield, ast.YieldFrom)):
+            yield current
+        final = set(map(id, getattr(current, "finalbody", ())))
+        for child in ast.iter_child_nodes(current):
+            stack.append((child, in_finally or id(child) in final))
+
+
+def _check_finally(info: FunctionInfo, findings: list[Finding]) -> None:
+    for node in _finally_yields(info.node):
+        findings.append(Finding(
+            info.module.path, node.lineno, "yield-in-finally",
+            f"yield inside a finally block of generator {info.name}(); "
+            f"closing the generator (an aborted run) "
+            f"makes it ignore GeneratorExit — release on the normal and "
+            f"error paths instead"))
 
 
 # -- callback-yield -------------------------------------------------------
@@ -237,6 +279,8 @@ def run(program: Program) -> list[Finding]:
     for qualname in sorted(members):
         _check_yields(program.functions[qualname], findings)
     for info in program.functions.values():
+        if info.is_generator:
+            _check_finally(info, findings)
         _check_callbacks(program, info, findings)
         _check_block(info.module.path, list(info.node.body), findings)
     return findings
@@ -245,7 +289,7 @@ def run(program: Program) -> list[Finding]:
 PACK = RulePack(
     name="procgen",
     rules=RULES,
-    doc="process generators yield Events only; callbacks must not "
-        "yield; no double succeed/fail on one Event",
+    doc="process generators yield Events only, and never in a finally; "
+        "callbacks must not yield; no double succeed/fail on one Event",
     run=run,
 )

@@ -452,16 +452,21 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
             self.calls_sent.add()
             reply_header: RpcRdmaHeader = yield from self._await_reply(call, header, waiter)
             reply = yield from self._handle_reply(reply_header, ctx)
-            return reply
-        finally:
-            self._contexts.pop(call.xid, None)
-            self._pending.pop(call.xid, None)
-            san = self.sim.sanitizer
-            if san is not None:
-                san.retire(self.node.hca.tpt.name, call.xid)
-            for region in ctx["regions"]:
-                yield from self.strategy.release(region)
-            self.credits.release(ctx.get("new_grant"))
+        except BaseException as exc:
+            yield from self._end_call(call, ctx, isinstance(exc, GeneratorExit))
+            raise
+        yield from self._end_call(call, ctx)
+        return reply
+
+    def _end_call(self, call: RpcCall, ctx: dict, closing: bool = False) -> Generator:
+        """Forget the call, then give back its regions and its credit."""
+        self._contexts.pop(call.xid, None)
+        self._pending.pop(call.xid, None)
+        san = self.sim.sanitizer
+        if san is not None:
+            san.retire(self.node.hca.tpt.name, call.xid)
+        yield from self.strategy.release_all(ctx["regions"], closing)
+        self.credits.release(ctx.get("new_grant"))
 
     def _await_reply(self, call: RpcCall, header: RpcRdmaHeader,
                      waiter: Event) -> Generator:
@@ -922,17 +927,24 @@ class RpcRdmaServerBase(_RdmaEndpoint, RpcServerTransport):
                 # The client's connection died while we replied: drop
                 # the reply, keep the worker; resources still release.
                 self.failed = True
-            finally:
-                if tracer is not None:
-                    tracer.pop_task(prev)
-                    span.end()
-                lane = ctx["header"].lane
-                if lane is not None and self.lanes is not None:
-                    self.lanes.on_reply(lane)
-                for region in ctx["regions"]:
-                    yield from self.strategy.release(region)
+            except BaseException as exc:
+                yield from self._end_reply(ctx, tracer, span, prev,
+                                           isinstance(exc, GeneratorExit))
+                raise
+            yield from self._end_reply(ctx, tracer, span, prev)
 
         return respond
+
+    def _end_reply(self, ctx: dict, tracer, span, prev,
+                   closing: bool = False) -> Generator:
+        """Close the reply span, settle the lane, give back the regions."""
+        if tracer is not None:
+            tracer.pop_task(prev)
+            span.end()
+        lane = ctx["header"].lane
+        if lane is not None and self.lanes is not None:
+            self.lanes.on_reply(lane)
+        yield from self.strategy.release_all(ctx["regions"], closing)
 
     def _lane_reply_fields(self, ctx: dict) -> dict:
         """Version-2 header fields echoing the call's lane; empty for

@@ -102,6 +102,16 @@ class RegistrationStrategy(abc.ABC):
     def release(self, region: RegisteredRegion) -> Generator:
         """Process: return/deregister ``region``."""
 
+    def release_all(self, regions, closing: bool = False) -> Generator:
+        """Process: :meth:`release` each region in turn.  A generator
+        being closed (``closing``: an aborted run) must not wait, so
+        each release is then started as a process of its own."""
+        for region in regions:
+            if closing:
+                self.node.sim.process(self.release(region))
+            else:
+                yield from self.release(region)
+
 
 class DynamicRegistration(RegistrationStrategy):
     """Register on every operation, deregister right after — the baseline

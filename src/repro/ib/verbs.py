@@ -244,7 +244,13 @@ class RdmaReadWR(_WorkRequest):
 
 
 class CompletionQueue:
-    """Queue of CQEs with blocking wait and optional event callback."""
+    """Queue of CQEs with blocking wait and optional event callback.
+
+    A CQ with an ``on_completion`` handler hands each CQE to the handler
+    (and to a waiter, if one is blocked) but does not also queue it:
+    its consumers learn of completions through the handler and the
+    per-WR events, and nothing polls it.
+    """
 
     def __init__(self, sim: Simulator, name: str = "cq"):
         self.sim = sim
@@ -260,7 +266,7 @@ class CompletionQueue:
             self.on_completion(cqe)
         if self._waiters:
             self._waiters.popleft().succeed(cqe)
-        else:
+        elif self.on_completion is None:
             self._cqes.append(cqe)
 
     def poll(self) -> Optional[Cqe]:

@@ -16,21 +16,28 @@ spliced after an RPC header), :data:`VOID`, :func:`array`,
 whose entries may also be :func:`const`, :func:`ignore`, :func:`key`
 and :func:`union` (DESIGN.md §17).
 
-Compiler rules: adjacent fixed-width fields, nested fixed-width records
-included, pack and unpack with one precompiled ``struct.Struct``; a
-record is a list of ops over those structs run by two small
-interpreters (no generated source).  Decoders fail closed: truncation,
-bad UTF-8, unknown enum or union values, broken caps and constructors
+Compiler rules: every codec is compiled, when it is declared, into one
+generated ``encode`` and one ``decode`` function of straight-line
+Python (its text is ``codec.source``).  Nested records, arrays,
+optionals and unions are inlined; adjacent fixed-width fields, nested
+fixed-width records included, pack and unpack with one precompiled
+``struct.Struct``; enums and booleans convert by table lookup;
+constructors are called positionally.  The text is built from the
+schema alone: constants and callables reach it through the namespace
+it runs in, never as literals.  Decoders fail closed: truncation, bad
+UTF-8, unknown enum or union values, broken caps and constructors
 rejecting peer data all raise :class:`XdrError`, as do out-of-range
 values on encode.  No trailing-bytes check is made.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum as _enum
+import inspect
+import itertools
 import struct
-from functools import partial
-from operator import attrgetter, itemgetter
+from contextlib import contextmanager
 from typing import Any, Callable, NamedTuple, Optional
 
 __all__ = [
@@ -50,42 +57,135 @@ _U32 = struct.Struct(">I")
 #: XDR alignment needs at most 3 zero bytes: index by ``length & 3``.
 _PADDING = (b"", b"\x00\x00\x00", b"\x00\x00", b"\x00")
 
+#: Generated functions number their lines from here, past the end of
+#: this file: traceback line ``_LINE_BASE + n`` is line ``n`` of the
+#: codec's ``source``, and no unrelated line of this file is shown.
+_LINE_BASE = 100_000
+
+_serials = itertools.count(1)
+
+
+class _Gen:
+    """Text and namespace of one codec's generated functions.
+
+    ``bind`` hands the text a name for a constant or callable; ``tmp``
+    a fresh local.  On the encode side, ``out``/``out_const`` collect
+    the parts of the output, which ``flush`` appends to the ``out``
+    list before any branch or loop (a function without one returns
+    their join directly).
+    """
+
+    def __init__(self) -> None:
+        self.ns: dict = {"XdrError": XdrError, "_u32": _U32.unpack_from,
+                         "_p32": _U32.pack, "_PAD": _PADDING}
+        self._bound: dict = {}
+        self._serial = 0
+        self.lines: list[str] = []
+        self.depth = 1
+        self.pieces: list[tuple[str, Optional[bytes]]] = []
+        self.used_out = False
+
+    def bind(self, obj) -> str:
+        name = self._bound.get(id(obj))
+        if name is None:
+            name = self._bound[id(obj)] = f"_k{len(self._bound)}"
+            self.ns[name] = obj
+        return name
+
+    def tmp(self, hint: str) -> str:
+        self._serial += 1
+        return f"{hint}{self._serial}"
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.depth + line)
+
+    def local(self, expr: str) -> str:
+        """``expr`` evaluated once, as a local name."""
+        if expr.isidentifier():
+            return expr
+        name = self.tmp("t")
+        self.emit(f"{name} = {expr}")
+        return name
+
+    def reject(self, condition: str, message: str) -> None:
+        """Raise XdrError with the f-string ``message`` if ``condition``."""
+        self.emit(f"if {condition}: raise XdrError(f{message!r})")
+
+    def unpack(self, fmt: str) -> list[str]:
+        """Unpack ``fmt`` at ``pos`` into fresh locals, one per slot."""
+        st = struct.Struct(">" + fmt)
+        slots = [self.tmp("s") for _ in fmt]
+        self.emit(f"{', '.join(slots)}, = {self.bind(st.unpack_from)}(buf, pos)")
+        self.emit(f"pos += {st.size}")
+        return slots
+
+    def out(self, expr: str) -> None:
+        self.pieces.append((expr, None))
+
+    def out_const(self, data: bytes) -> None:
+        if not data:
+            return
+        if self.pieces and self.pieces[-1][1] is not None:
+            data = self.pieces.pop()[1] + data
+        self.pieces.append((self.bind(data), data))
+
+    def flush(self) -> None:
+        if not self.pieces:
+            return
+        exprs = [expr for expr, _ in self.pieces]
+        self.pieces.clear()
+        self.used_out = True
+        if len(exprs) == 1:
+            self.emit(f"out.append({exprs[0]})")
+        else:
+            self.emit(f"out += ({', '.join(exprs)})")
+
+    @contextmanager
+    def block(self, header: str):
+        self.flush()
+        self.emit(header)
+        self.depth += 1
+        mark = len(self.lines)
+        yield
+        self.flush()
+        if len(self.lines) == mark:
+            self.emit("pass")
+        self.depth -= 1
+
 
 class Codec:
     """A compiled schema element.
 
-    ``_enc(value, out)`` appends the encoding to ``out``; ``_dec(buf,
-    pos)`` returns ``(value, end offset)``.  Fixed-width elements also
-    carry their struct format ``fmt`` and the ``to_wire``/``from_wire``
-    conversions between a value and its slot(s) (``None``: the value is
-    the slot), which is how records pack them into one struct.
+    ``encode`` and ``decode_from`` run the two functions generated from
+    it; ``source`` is their text.  Fixed-width elements also carry
+    their struct format ``fmt`` (one code per slot), which is how
+    records pack them into one struct with their neighbours.
+
+    Subclasses generate code: ``_gen_enc(g, x)`` emits the encoding of
+    the expression ``x``, ``_gen_dec(g)`` emits a decode at ``pos`` and
+    returns an expression for the value.  Fixed-width elements instead
+    give ``_enc_slots`` (slot expressions for ``x``), ``_dec_value``
+    (the value from slot locals) and ``_wire`` (a constant's slots).
     """
 
     fmt = ""
-    to_wire: Optional[Callable] = None
-    from_wire: Optional[Callable] = None
-    #: slot -> value for closed sets (enums, booleans), and value ->
-    #: slot for value maps: table lookups instead of conversion calls.
-    wire_values: Optional[dict] = None
-    value_slots: Optional[dict] = None
-    _enc: Callable[[Any, list], None]
-    _dec: Callable[[bytes, int], tuple]
+    source = ""
+    _encode: Callable[[Any], bytes]
+    _decode: Callable[[bytes, int], tuple]
 
     def encode(self, value) -> bytes:
-        out: list = []
         try:
-            self._enc(value, out)
+            return self._encode(value)
         except XdrError:
             raise
         except (struct.error, ValueError, KeyError) as exc:
             raise XdrError(f"cannot encode {value!r}: {exc}") from None
-        return out[0] if len(out) == 1 else b"".join(out)
 
     def decode_from(self, data, pos: int = 0) -> tuple:
         """Decode one value at ``pos``; returns ``(value, end offset)``."""
         buf = data if type(data) is bytes else bytes(data)
         try:
-            return self._dec(buf, pos)
+            return self._decode(buf, pos)
         except XdrError:
             raise
         except (struct.error, ValueError) as exc:
@@ -96,43 +196,122 @@ class Codec:
     def decode(self, data):
         return self.decode_from(data)[0]
 
+    # -- code generation ---------------------------------------------------
+    def _gen_enc(self, g: _Gen, x: str) -> None:
+        st = struct.Struct(">" + self.fmt)
+        g.out(f"{g.bind(st.pack)}({', '.join(self._enc_slots(g, x))})")
+
+    def _gen_dec(self, g: _Gen) -> str:
+        return self._dec_value(g, g.unpack(self.fmt))
+
+    def _enc_slots(self, g: _Gen, x: str) -> list[str]:
+        raise NotImplementedError
+
+    def _dec_value(self, g: _Gen, slots: list[str], keep: bool = True) -> Optional[str]:
+        raise NotImplementedError
+
+    def _wire(self, value) -> tuple:
+        raise TypeError(f"{type(self).__name__} has no constant form")
+
+    def _build(self, label: str) -> None:
+        """Generate, compile and install ``_encode``/``_decode``."""
+        name = f"{label}_{next(_serials)}"
+        g = _Gen()
+        self._gen_enc(g, "v")
+        if g.used_out:
+            g.flush()
+            body = ["    out = []", *g.lines, "    return b''.join(out)"]
+        else:
+            exprs = [expr for expr, _ in g.pieces]
+            ret = (exprs[0] if len(exprs) == 1 else "b''" if not exprs
+                   else f"b''.join(({', '.join(exprs)},))")
+            body = [*g.lines, f"    return {ret}"]
+        g.lines = []
+        g.emit(f"return {self._gen_dec(g)}, pos")
+        source = "\n".join([f"def encode_{name}(v):", *body,
+                            f"def decode_{name}(buf, pos):", *g.lines, ""])
+        exec(compile(source, __file__, "exec"), g.ns)
+        for attr, prefix in (("_encode", "encode_"), ("_decode", "decode_")):
+            fn = g.ns[prefix + name]
+            fn.__code__ = fn.__code__.replace(
+                co_firstlineno=fn.__code__.co_firstlineno + _LINE_BASE)
+            setattr(self, attr, fn)
+        self.source = source
+
 
 class _Fixed(Codec):
-    """Fixed-width element over struct format ``fmt`` (one code per slot)."""
+    """Fixed-width element over struct format ``fmt`` (one code per slot).
+
+    ``to_wire``/``from_wire`` convert between a value and its slot(s)
+    (None: the value is the slot).  Closed sets convert by table
+    instead: ``wire_values`` maps slot -> value on decode (any other
+    slot is an XdrError reading ``what``), ``value_slots`` value ->
+    slot on encode.  When every value compares by identity (plain
+    ``Enum`` members), the encode table is keyed by ``id``: hashing a
+    member would cost a Python-level ``Enum.__hash__`` call.
+    """
 
     def __init__(self, fmt, to_wire=None, from_wire=None, wire_values=None,
-                 value_slots=None):
+                 value_slots=None, what="unknown enum value", label="fixed"):
         self.fmt, self.to_wire, self.from_wire = fmt, to_wire, from_wire
-        self.wire_values, self.value_slots = wire_values, value_slots
-        self._struct = struct.Struct(">" + fmt)
+        self.wire_values, self.value_slots, self.what = wire_values, value_slots, what
+        self._by_id = value_slots is not None and all(
+            isinstance(v, _enum.Enum) and type(v).__eq__ is object.__eq__
+            for v in value_slots)
+        if self._by_id:
+            self._id_slots = {id(v): slot for v, slot in value_slots.items()}
+        self._build(label)
 
-    def _enc(self, value, out: list) -> None:
+    def _enc_slots(self, g: _Gen, x: str) -> list[str]:
+        if self._by_id:
+            return [f"{g.bind(self._id_slots)}[id({x})]"]
+        if self.value_slots is not None:
+            return [f"{g.bind(self.value_slots)}[{x}]"]
+        if self.to_wire is not None:
+            call = f"{g.bind(self.to_wire)}({x})"
+            return [f"*{call}" if len(self.fmt) > 1 else call]
+        return [f"*{x}" if len(self.fmt) > 1 else x]
+
+    def _dec_value(self, g: _Gen, slots: list[str], keep: bool = True) -> Optional[str]:
+        raw = slots[0] if len(slots) == 1 else f"({', '.join(slots)})"
+        if self.wire_values is not None:
+            table = g.bind(self.wire_values)
+            g.reject(f"{raw} not in {table}", f"{{{g.bind(self.what)}}} {{{raw}}}")
+            return f"{table}[{raw}]" if keep else None
+        if self.from_wire is not None:
+            call = f"{g.bind(self.from_wire)}({raw})"
+            if keep:
+                return call
+            g.emit(call)
+            return None
+        return raw
+
+    def _wire(self, value) -> tuple:
+        if self.value_slots is not None:
+            return (self.value_slots[value],)
         raw = value if self.to_wire is None else self.to_wire(value)
-        out.append(self._struct.pack(*raw) if len(self.fmt) > 1 else self._struct.pack(raw))
-
-    def _dec(self, buf: bytes, pos: int) -> tuple:
-        raw = self._struct.unpack_from(buf, pos)
-        raw = raw if len(self.fmt) > 1 else raw[0]
-        return (raw if self.from_wire is None else self.from_wire(raw)), pos + self._struct.size
+        return tuple(raw) if len(self.fmt) > 1 else (raw,)
 
 
-U32 = _Fixed("I")
-I32 = _Fixed("i")
-U64 = _Fixed("Q")
-I64 = _Fixed("q")
+class _Bool(_Fixed):
+    """XDR boolean: any truthy value encodes as 1; only 0 and 1 decode."""
+
+    def __init__(self):
+        super().__init__("I", wire_values={0: False, 1: True},
+                         what="boolean encoded as", label="bool")
+
+    def _enc_slots(self, g: _Gen, x: str) -> list[str]:
+        return [f"(1 if {x} else 0)"]
+
+    def _wire(self, value) -> tuple:
+        return (1 if value else 0,)
 
 
-def _lookup(table: dict, what: str) -> Callable:
-    def convert(value):
-        try:
-            return table[value]
-        except KeyError:
-            raise XdrError(f"{what} {value!r}") from None
-    return convert
-
-
-_BOOLS = {0: False, 1: True}
-BOOL = _Fixed("I", lambda v: 1 if v else 0, _lookup(_BOOLS, "boolean encoded as"), _BOOLS)
+U32 = _Fixed("I", label="u32")
+I32 = _Fixed("i", label="i32")
+U64 = _Fixed("Q", label="u64")
+I64 = _Fixed("q", label="i64")
+BOOL = _Bool()
 
 
 def fixed(fmt: str, to_wire: Callable, from_wire: Callable) -> Codec:
@@ -147,16 +326,15 @@ def enum(values) -> Codec:
     ``values`` is an ``IntEnum`` class (decodes to members), a mapping
     from values to wire numbers, or an iterable of accepted numbers.
     """
-    to_wire = slots = None
+    slots = None
     if isinstance(values, type) and issubclass(values, _enum.IntEnum):
         wire = {int(m): m for m in values}
     elif isinstance(values, dict):
         slots = dict(values)
         wire = {v: k for k, v in slots.items()}
-        to_wire = _lookup(slots, "no wire value for")
     else:
         wire = {int(v): int(v) for v in values}
-    return _Fixed("I", to_wire, _lookup(wire, "unknown enum value"), wire, slots)
+    return _Fixed("I", wire_values=wire, value_slots=slots, label="enum")
 
 
 class _Opaque(Codec):
@@ -164,23 +342,26 @@ class _Opaque(Codec):
 
     def __init__(self, text: bool = False):
         self._text = text
+        self._build("string" if text else "opaque")
 
-    def _enc(self, value, out: list) -> None:
-        data = value.encode("utf-8") if self._text else (
-            value if type(value) is bytes else bytes(value))
-        n = len(data)
-        out.append(_U32.pack(n))
-        out.append(data)
-        if n & 3:
-            out.append(_PADDING[n & 3])
+    def _gen_enc(self, g: _Gen, x: str) -> None:
+        x = g.local(x)
+        data = g.tmp("d")
+        g.emit(f"{data} = {x}.encode('utf-8')" if self._text
+               else f"{data} = {x} if type({x}) is bytes else bytes({x})")
+        g.out(f"_p32(len({data}))")
+        g.out(data)
+        g.out(f"_PAD[len({data}) & 3]")
 
-    def _dec(self, buf: bytes, pos: int) -> tuple:
-        (n,) = _U32.unpack_from(buf, pos)
-        end = pos + 4 + n
-        if end + (-n & 3) > len(buf):
-            raise XdrError(f"truncated XDR: opaque of {n} bytes at offset {pos}")
-        data = buf[pos + 4:end]
-        return (data.decode("utf-8") if self._text else data), end + (-n & 3)
+    def _gen_dec(self, g: _Gen) -> str:
+        n, end, value = g.tmp("n"), g.tmp("e"), g.tmp("x")
+        g.emit(f"{n}, = _u32(buf, pos)")
+        g.emit(f"{end} = pos + 4 + {n}")
+        g.reject(f"{end} + (-{n} & 3) > len(buf)",
+               f"truncated XDR: opaque of {{{n}}} bytes at offset {{pos}}")
+        g.emit(f"{value} = buf[pos + 4:{end}]" + (".decode('utf-8')" if self._text else ""))
+        g.emit(f"pos = {end} + (-{n} & 3)")
+        return value
 
 
 OPAQUE = _Opaque()
@@ -190,17 +371,24 @@ STRING = _Opaque(text=True)
 class _FixedOpaque(Codec):
     def __init__(self, size: int):
         self._size = size
+        self._build("fixed_opaque")
 
-    def _enc(self, value, out: list) -> None:
-        if len(value) != self._size:
-            raise XdrError(f"fixed opaque of {len(value)} bytes, expected {self._size}")
-        out.append(bytes(value) + _PADDING[self._size & 3])
+    def _gen_enc(self, g: _Gen, x: str) -> None:
+        x = g.local(x)
+        size = g.bind(self._size)
+        g.reject(f"len({x}) != {size}",
+               f"fixed opaque of {{len({x})}} bytes, expected {{{size}}}")
+        g.out(f"bytes({x})")
+        g.out_const(_PADDING[self._size & 3])
 
-    def _dec(self, buf: bytes, pos: int) -> tuple:
-        end = pos + self._size + (-self._size & 3)
-        if end > len(buf):
-            raise XdrError(f"truncated XDR: fixed opaque at offset {pos}")
-        return buf[pos:pos + self._size], end
+    def _gen_dec(self, g: _Gen) -> str:
+        value = g.tmp("x")
+        size = g.bind(self._size)
+        padded = g.bind(self._size + (-self._size & 3))
+        g.reject(f"pos + {padded} > len(buf)", "truncated XDR: fixed opaque at offset {pos}")
+        g.emit(f"{value} = buf[pos:pos + {size}]")
+        g.emit(f"pos += {padded}")
+        return value
 
 
 def fixed_opaque(size: int) -> Codec:
@@ -211,19 +399,30 @@ class _Tail(Codec):
     """Pre-encoded XDR spliced at the end of a message: zero-padded to
     alignment on encode, the rest of the buffer on decode."""
 
-    def _enc(self, value, out: list) -> None:
-        out.append(value + _PADDING[len(value) & 3] if len(value) & 3 else value)
+    def __init__(self):
+        self._build("tail")
 
-    def _dec(self, buf: bytes, pos: int) -> tuple:
-        return buf[pos:], len(buf)
+    def _gen_enc(self, g: _Gen, x: str) -> None:
+        x = g.local(x)
+        g.out(x)
+        g.out(f"_PAD[len({x}) & 3]")
+
+    def _gen_dec(self, g: _Gen) -> str:
+        value = g.tmp("x")
+        g.emit(f"{value} = buf[pos:]")
+        g.emit("pos = len(buf)")
+        return value
 
 
 class _Void(Codec):
-    def _enc(self, value, out: list) -> None:
+    def __init__(self):
+        self._build("void")
+
+    def _gen_enc(self, g: _Gen, x: str) -> None:
         pass
 
-    def _dec(self, buf: bytes, pos: int) -> tuple:
-        return None, pos
+    def _gen_dec(self, g: _Gen) -> str:
+        return "None"
 
 
 TAIL = _Tail()
@@ -235,35 +434,36 @@ class _Array(Codec):
 
     def __init__(self, item: Codec, max_items: int):
         self._item, self._max = item, max_items
-        self._rows = struct.Struct(">" + item.fmt) if item.fmt else None
+        self._build("array")
 
-    def _enc(self, value, out: list) -> None:
-        out.append(_U32.pack(len(value)))
-        enc = self._item._enc
-        for item in value:
-            enc(item, out)
+    def _gen_enc(self, g: _Gen, x: str) -> None:
+        items, item = g.local(x), g.tmp("i")
+        g.out(f"_p32(len({items}))")
+        with g.block(f"for {item} in {items}:"):
+            self._item._gen_enc(g, item)
 
-    def _dec(self, buf: bytes, pos: int) -> tuple:
-        (n,) = _U32.unpack_from(buf, pos)
-        if n > self._max:
-            raise XdrError(f"array of {n} items exceeds cap {self._max}")
-        pos += 4
-        if self._rows is not None:
+    def _gen_dec(self, g: _Gen) -> str:
+        n, out = g.tmp("n"), g.tmp("a")
+        cap = g.bind(self._max)
+        g.emit(f"{n}, = _u32(buf, pos)")
+        g.reject(f"{n} > {cap}", f"array of {{{n}}} items exceeds cap {{{cap}}}")
+        g.emit("pos += 4")
+        g.emit(f"{out} = []")
+        if self._item.fmt:
             # Fixed-width items: one bounds check, one C-level unpack loop.
-            end = pos + n * self._rows.size
-            if end > len(buf):
-                raise XdrError(f"truncated XDR: {n} array items at offset {pos}")
-            rows = self._rows.iter_unpack(buf[pos:end])
-            conv = self._item.from_wire
-            if len(self._item.fmt) == 1:
-                rows = (r[0] for r in rows)
-            return (list(rows) if conv is None else list(map(conv, rows))), end
-        out = []
-        dec = self._item._dec
-        for _ in range(n):
-            value, pos = dec(buf, pos)
-            out.append(value)
-        return out, pos
+            rows = struct.Struct(">" + self._item.fmt)
+            end = g.tmp("e")
+            g.emit(f"{end} = pos + {n} * {rows.size}")
+            g.reject(f"{end} > len(buf)",
+                   f"truncated XDR: {{{n}}} array items at offset {{pos}}")
+            slots = [g.tmp("s") for _ in self._item.fmt]
+            with g.block(f"for {', '.join(slots)}, in {g.bind(rows.iter_unpack)}(buf[pos:{end}]):"):
+                g.emit(f"{out}.append({self._item._dec_value(g, slots)})")
+            g.emit(f"pos = {end}")
+        else:
+            with g.block(f"for _ in range({n}):"):
+                g.emit(f"{out}.append({self._item._gen_dec(g)})")
+        return out
 
 
 def array(item: Codec, max_items: int = 1 << 20) -> Codec:
@@ -275,17 +475,26 @@ class _Optional(Codec):
 
     def __init__(self, item: Codec):
         self._item = item
+        self._build("optional")
 
-    def _enc(self, value, out: list) -> None:
-        out.append(_U32.pack(value is not None))
-        if value is not None:
-            self._item._enc(value, out)
+    def _gen_enc(self, g: _Gen, x: str) -> None:
+        x = g.local(x)
+        with g.block(f"if {x} is None:"):
+            g.out_const(_U32.pack(0))
+        with g.block("else:"):
+            g.out_const(_U32.pack(1))
+            self._item._gen_enc(g, x)
 
-    def _dec(self, buf: bytes, pos: int) -> tuple:
-        (flag,) = _U32.unpack_from(buf, pos)
-        if flag > 1:
-            raise XdrError(f"boolean encoded as {flag}")
-        return self._item._dec(buf, pos + 4) if flag else (None, pos + 4)
+    def _gen_dec(self, g: _Gen) -> str:
+        flag, value = g.tmp("f"), g.tmp("o")
+        g.emit(f"{flag}, = _u32(buf, pos)")
+        g.reject(f"{flag} > 1", f"boolean encoded as {{{flag}}}")
+        g.emit("pos += 4")
+        with g.block(f"if {flag}:"):
+            g.emit(f"{value} = {self._item._gen_dec(g)}")
+        with g.block("else:"):
+            g.emit(f"{value} = None")
+        return value
 
 
 def optional(item: Codec) -> Codec:
@@ -332,190 +541,14 @@ def union(on, arms: dict, default: Optional[list] = None) -> _Union:
     """Fields chosen by the value of the earlier field ``on``: ``arms``
     maps each value to its field list; values without an arm use
     ``default``, or fail with XdrError when there is none."""
+    if not arms:
+        raise TypeError("a union needs at least one arm")
     return _Union(on, arms, default)
 
 
 def _fields(entries) -> list:
     return [e if isinstance(e, (_Field, _Union)) else _Field(e[1], name=e[0], src=e[0])
             for e in entries]
-
-
-# A record compiles to a list of ops run by the interpreters below.  A
-# run of fixed-width fields is one op whose parts gather (encode) or
-# scatter (decode) the slots of its struct.
-_PLAIN, _ONE, _RUN, _BYTES, _VAR, _UNION = range(6)      # ops
-_P_GET, _P_ONE, _P_CONST, _P_MAP, _P_CALL = range(5)     # encode parts
-_D_ZIP, _D_MAP, _D_CALL, _D_CHECK = range(4)       # decode parts
-_MISSING = object()
-
-
-def _slots(parts: list, obj) -> list:
-    vals: list = []
-    for part in parts:
-        kind = part[0]
-        if kind == _P_GET:
-            vals.extend(part[1](obj))
-        elif kind == _P_ONE:
-            vals.append(part[1](obj))
-        elif kind == _P_CONST:
-            vals.extend(part[1])
-        elif kind == _P_MAP:
-            vals.append(part[2][part[1](obj)])
-        elif part[3]:
-            vals.extend(part[2](part[1](obj)))
-        else:
-            vals.append(part[2](part[1](obj)))
-    return vals
-
-
-def _fill(parts: list, raw: tuple, scope: dict) -> None:
-    for part in parts:
-        kind = part[0]
-        if kind == _D_ZIP:
-            scope.update(zip(part[1], raw[part[2]:part[3]]))
-        elif kind == _D_MAP:
-            value = part[3].get(raw[part[2]], _MISSING)
-            if value is _MISSING:
-                raise XdrError(f"unknown enum value {raw[part[2]]}")
-            if part[1] is not None:
-                scope[part[1]] = value
-        elif kind == _D_CALL:
-            i, width = part[2], part[3]
-            value = part[4](raw[i] if width == 1 else raw[i:i + width])
-            if part[1] is not None:
-                scope[part[1]] = value
-        elif raw[part[1]] != part[2]:
-            raise XdrError(f"expected {part[2]!r}, got {raw[part[1]]!r}")
-
-
-def _run_enc(ops: list, obj, out: list) -> None:
-    for op in ops:
-        kind = op[0]
-        if kind == _PLAIN:
-            out.append(op[1](*op[2](obj)))
-        elif kind == _ONE:
-            out.append(op[1](op[2](obj)))
-        elif kind == _VAR:
-            op[1](op[2](obj), out)
-        elif kind == _BYTES:
-            out.append(op[1])
-        elif kind == _RUN:
-            out.append(op[1](*_slots(op[2], obj)))
-        else:
-            disc = op[1](obj)
-            arm = op[2].get(disc, op[3])
-            if arm is None:
-                raise XdrError(f"no union arm for {disc!r}")
-            if arm:
-                _run_enc(arm, obj, out)
-
-
-def _run_dec(ops: list, buf: bytes, pos: int, scope: dict) -> int:
-    for op in ops:
-        kind = op[0]
-        if kind == _RUN:
-            _fill(op[3], op[1](buf, pos), scope)
-            pos += op[2]
-        elif kind == _VAR:
-            value, pos = op[1](buf, pos)
-            if op[3] and value != op[4]:
-                raise XdrError(f"expected {op[4]!r}, got {value!r}")
-            if op[2] is not None:
-                scope[op[2]] = value
-        else:
-            disc = scope[op[1]]
-            arm = op[2].get(disc, op[3])
-            if arm is None:
-                raise XdrError(f"no union arm for {disc!r}")
-            if arm:
-                pos = _run_dec(arm, buf, pos, scope)
-    return pos
-
-
-def _enc_parts(fields: list, getter) -> list:
-    parts: list = []
-    for f in fields:
-        wide = len(f.elem.fmt) > 1
-        if f.src is None:
-            raw = f.value if f.elem.to_wire is None else f.elem.to_wire(f.value)
-            raw = tuple(raw) if wide else (raw,)
-            if parts and parts[-1][0] == _P_CONST:
-                raw = parts.pop()[1] + raw
-            parts.append((_P_CONST, raw))
-        elif f.elem.to_wire is None and not wide:
-            srcs = (f.src,)
-            if parts and parts[-1][0] in (_P_GET, _P_ONE):
-                srcs = parts.pop()[2] + srcs
-            parts.append((_P_GET, getter(*srcs), srcs) if len(srcs) > 1
-                         else (_P_ONE, getter(f.src), srcs))
-        elif f.elem.value_slots is not None:
-            parts.append((_P_MAP, getter(f.src), f.elem.value_slots))
-        else:
-            parts.append((_P_CALL, getter(f.src), f.elem.to_wire, wide))
-    return [p[:2] if p[0] in (_P_GET, _P_ONE) else p for p in parts]
-
-
-def _dec_parts(fields: list) -> list:
-    parts: list = []
-    i = 0
-    for f in fields:
-        elem, width = f.elem, len(f.elem.fmt)
-        if f.check:
-            parts.append((_D_CHECK, i, f.value if elem.to_wire is None
-                           else elem.to_wire(f.value)))
-        elif elem.wire_values is not None:
-            parts.append((_D_MAP, f.name, i, elem.wire_values))
-        elif elem.from_wire is not None or width > 1:
-            parts.append((_D_CALL, f.name, i, width, elem.from_wire))
-        elif f.name is not None:
-            names: tuple = (f.name,)
-            if parts and parts[-1][0] == _D_ZIP and parts[-1][3] == i:
-                names = parts.pop()[1] + names
-            parts.append((_D_ZIP, names, i + 1 - len(names), i + 1))
-        i += width
-    return parts
-
-
-def _compile(fields: list, getter) -> tuple[list, list]:
-    """Encode and decode ops for ``fields`` (union arms compile to
-    nested op lists)."""
-    enc_ops: list = []
-    dec_ops: list = []
-    run: list = []
-
-    def flush():
-        if not run:
-            return
-        fmt = "".join(f.elem.fmt for f in run)
-        st = struct.Struct(">" + fmt)
-        parts = _enc_parts(run, getter)
-        if len(parts) == 1 and parts[0][0] == _P_CONST:
-            enc_ops.append((_BYTES, st.pack(*parts[0][1])))
-        elif len(parts) == 1 and parts[0][0] in (_P_GET, _P_ONE):
-            enc_ops.append((_PLAIN if parts[0][0] == _P_GET else _ONE,
-                            st.pack, parts[0][1], fmt))
-        else:
-            enc_ops.append((_RUN, st.pack, parts, fmt))
-        dec_ops.append((_RUN, st.unpack_from, st.size, _dec_parts(run)))
-        run.clear()
-
-    for f in fields:
-        if isinstance(f, _Union):
-            flush()
-            arms = {k: _compile(_fields(v), getter) for k, v in f.arms.items()}
-            default = None if f.default is None else _compile(_fields(f.default), getter)
-            for side, ops, on in ((0, enc_ops, getter(f.on)), (1, dec_ops, f.on)):
-                ops.append((_UNION, on, {k: v[side] for k, v in arms.items()},
-                            None if default is None else default[side]))
-        elif f.elem.fmt:
-            run.append(f)
-        elif f.elem is not VOID:  # a VOID field is absent: None on decode
-            flush()
-            enc_ops.append((_BYTES, f.elem.encode(f.value)) if f.src is None
-                           else (_VAR, f.elem._enc, getter(f.src)))
-            dec_ops.append((_VAR, f.elem._dec, f.name, f.check, f.value))
-    flush()
-    return enc_ops, dec_ops
 
 
 def _names(fields: list, names: dict) -> dict:
@@ -529,63 +562,231 @@ def _names(fields: list, names: dict) -> dict:
     return names
 
 
+def _arm_groups(u: _Union) -> list:
+    """``(values, fields)`` per distinct arm, values sharing one list
+    grouped together."""
+    groups: dict = {}
+    for value, arm in u.arms.items():
+        groups.setdefault(id(arm), ([], arm))[0].append(value)
+    return [(tuple(values), _fields(arm)) for values, arm in groups.values()]
+
+
 class _Record(Codec):
     """A nested schema: fields encoded from an object, decoded into a
     constructor call (``tuple``: positions in, a tuple out)."""
 
     def __init__(self, cls, entries):
-        fields = _fields(entries)
-        names = _names(fields, {})
-        drop = [name for name, keep in names.items() if not keep]
+        self._cls = cls
+        self._fields = _fields(entries)
+        names = _names(self._fields, {})
         if cls is tuple:
-            getter = itemgetter
-            positions = range(len(names))
-
-            def build(scope):
-                return tuple(map(scope.get, positions))
+            self._positional, self._keyword = list(range(len(names))), []
         else:
-            getter = attrgetter
+            self._positional, self._keyword = _call_order(
+                cls, [name for name, keep in names.items() if keep])
+        if self._fields and all(isinstance(f, _Field) and f.elem.fmt for f in self._fields):
+            # Wholly fixed width: one struct, also inside a parent's run.
+            self.fmt = "".join(f.elem.fmt for f in self._fields)
+        self._build("seq" if cls is tuple else cls.__name__)
 
-            def build(scope):
-                for name in drop:
-                    del scope[name]
-                return cls(**scope)
-        enc_ops, dec_ops = _compile(fields, getter)
+    def _get(self, x: str, src, discs: dict) -> str:
+        if src in discs:
+            return discs[src]
+        if self._cls is tuple:
+            return f"{x}[{int(src)}]"
+        if not src.isidentifier():
+            raise TypeError(f"{self._cls.__name__}: field name {src!r}")
+        return f"{x}.{src}"
 
-        if len(enc_ops) == 1 and enc_ops[0][0] in (_PLAIN, _ONE, _RUN):
-            # Wholly fixed width: one struct call, and usable inside a
-            # parent's struct run.
-            op, parts = enc_ops[0], dec_ops[0][3]
-            pack, unpack_from, size = op[1], dec_ops[0][1], dec_ops[0][2]
-            self.fmt = op[3]
-            to_wire = (op[2] if op[0] == _PLAIN else partial(_slots, op[2])
-                       if op[0] == _RUN else (lambda obj, one=op[2]: (one(obj),)))
+    def _construct(self, g: _Gen, scope: dict) -> str:
+        args = [scope.get(name, "None") for name in self._positional]
+        args += [f"{name}={scope[name]}" for name in self._keyword if name in scope]
+        if self._cls is tuple:
+            return f"({''.join(arg + ', ' for arg in args)})"
+        return f"{g.bind(self._cls)}({', '.join(args)})"
 
-            def from_wire(raw):
-                scope: dict = {}
-                _fill(parts, raw, scope)
-                return build(scope)
+    def _default(self, g: _Gen, name) -> str:
+        """The constructor's default for ``name``, for a value only some
+        union arms decode."""
+        if self._cls is tuple or name not in self._positional + self._keyword:
+            return "None"
+        fields = ({f.name: f for f in dataclasses.fields(self._cls)}
+                  if dataclasses.is_dataclass(self._cls) else {})
+        if name in fields and fields[name].default_factory is not dataclasses.MISSING:
+            return f"{g.bind(fields[name].default_factory)}()"
+        param = inspect.signature(self._cls).parameters.get(name)
+        if param is not None and param.default is not param.empty:
+            return g.bind(param.default)
+        raise TypeError(f"{self._cls.__name__}.{name} is decoded by only some "
+                        f"union arms and has no default")
 
-            self.to_wire, self.from_wire = to_wire, from_wire
-            self._enc = lambda obj, out: out.append(pack(*to_wire(obj)))
-            self._dec = lambda buf, pos: (from_wire(unpack_from(buf, pos)), pos + size)
-            return
+    # -- fixed width -------------------------------------------------------
+    def _enc_slots(self, g: _Gen, x: str) -> list[str]:
+        x = g.local(x)
+        slots: list[str] = []
+        for f in self._fields:
+            if f.src is None:
+                slots += [g.bind(w) for w in f.elem._wire(f.value)]
+            else:
+                slots += f.elem._enc_slots(g, self._get(x, f.src, {}))
+        return slots
 
-        if cls is tuple:
-            def dec(buf: bytes, pos: int) -> tuple:
-                scope: dict = {}
-                pos = _run_dec(dec_ops, buf, pos, scope)
-                return tuple(map(scope.get, positions)), pos
-        else:
-            def dec(buf: bytes, pos: int) -> tuple:
-                scope: dict = {}
-                pos = _run_dec(dec_ops, buf, pos, scope)
-                for name in drop:
-                    del scope[name]
-                return cls(**scope), pos
+    def _dec_value(self, g: _Gen, slots: list[str], keep: bool = True) -> Optional[str]:
+        scope: dict = {}
+        self._dec_run(g, self._fields, slots, scope, {})
+        value = self._construct(g, scope)
+        if keep:
+            return value
+        g.emit(value)  # dropped, but the constructor may still reject it
+        return None
 
-        self._enc = partial(_run_enc, enc_ops)
-        self._dec = dec
+    def _dec_run(self, g: _Gen, run: list, slots: list[str], scope: dict,
+                 preset: dict) -> None:
+        for f in run:
+            width = len(f.elem.fmt)
+            part, slots = slots[:width], slots[width:]
+            if f.check:
+                raw = part[0] if width == 1 else f"({', '.join(part)})"
+                wire = f.elem._wire(f.value)
+                expected = g.bind(wire[0] if width == 1 else wire)
+                g.reject(f"{raw} != {expected}", f"expected {{{expected}!r}}, got {{{raw}!r}}")
+            else:
+                value = f.elem._dec_value(g, part, keep=f.name is not None)
+                if f.name is not None:
+                    self._set(g, scope, preset, f.name, value)
+
+    @staticmethod
+    def _set(g: _Gen, scope: dict, preset: dict, name, value: str) -> None:
+        if name in preset:
+            g.emit(f"{preset[name]} = {value}")
+            value = preset[name]
+        scope[name] = value
+
+    # -- variable width ----------------------------------------------------
+    def _gen_enc(self, g: _Gen, x: str) -> None:
+        if self.fmt:
+            return super()._gen_enc(g, x)
+        x = g.local(x)
+        # A union's discriminant is read once, even when a key field
+        # also writes it.
+        discs = {u.on: g.local(self._get(x, u.on, {}))
+                 for u in self._fields if isinstance(u, _Union)}
+        self._enc_fields(g, x, self._fields, discs)
+
+    def _enc_fields(self, g: _Gen, x: str, fields: list, discs: dict) -> None:
+        run: list = []
+
+        def flush():
+            if not run:
+                return
+            st = struct.Struct(">" + "".join(f.elem.fmt for f in run))
+            if all(f.src is None for f in run):
+                g.out_const(st.pack(*[w for f in run for w in f.elem._wire(f.value)]))
+            else:
+                args: list[str] = []
+                for f in run:
+                    args += ([g.bind(w) for w in f.elem._wire(f.value)] if f.src is None
+                             else f.elem._enc_slots(g, self._get(x, f.src, discs)))
+                g.out(f"{g.bind(st.pack)}({', '.join(args)})")
+            run.clear()
+
+        for f in fields:
+            if isinstance(f, _Union):
+                flush()
+                disc = discs.get(f.on) or g.local(self._get(x, f.on, discs))
+                self._branch(g, f, disc,
+                             lambda arm: self._enc_fields(g, x, arm, discs))
+            elif f.elem.fmt:
+                run.append(f)
+            elif f.elem is not VOID:  # a VOID field is absent: None on decode
+                flush()
+                if f.src is None:
+                    g.out_const(f.elem.encode(f.value))
+                else:
+                    f.elem._gen_enc(g, self._get(x, f.src, discs))
+        flush()
+
+    def _gen_dec(self, g: _Gen) -> str:
+        if self.fmt:
+            return super()._gen_dec(g)
+        scope: dict = {}
+        self._dec_fields(g, self._fields, scope, {})
+        return self._construct(g, scope)
+
+    def _dec_fields(self, g: _Gen, fields: list, scope: dict, preset: dict) -> None:
+        run: list = []
+
+        def flush():
+            if run:
+                slots = g.unpack("".join(f.elem.fmt for f in run))
+                self._dec_run(g, run, slots, scope, preset)
+                run.clear()
+
+        for f in fields:
+            if isinstance(f, _Union):
+                flush()
+                self._dec_union(g, f, scope, preset)
+            elif f.elem.fmt:
+                run.append(f)
+            elif f.elem is VOID:
+                if f.name is not None:
+                    self._set(g, scope, preset, f.name, "None")
+            else:
+                flush()
+                value = f.elem._gen_dec(g)
+                if f.check:
+                    expected = g.bind(f.value)
+                    g.reject(f"{value} != {expected}",
+                           f"expected {{{expected}!r}}, got {{{value}!r}}")
+                elif f.name is not None:
+                    self._set(g, scope, preset, f.name, value)
+        flush()
+
+    def _dec_union(self, g: _Gen, u: _Union, scope: dict, preset: dict) -> None:
+        # Every name an arm may set gets one local, set to the
+        # constructor's default first: the arms assign it.
+        preset = dict(preset)
+        arms = [*u.arms.values(), u.default or []]
+        for name in _names([f for arm in arms for f in _fields(arm)], {}):
+            if name in preset:
+                continue
+            local = g.tmp("u")
+            g.emit(f"{local} = {scope[name] if name in scope else self._default(g, name)}")
+            preset[name] = scope[name] = local
+        scope[u.on] = disc = g.local(scope[u.on])
+        self._branch(g, u, disc, lambda arm: self._dec_fields(g, arm, scope, preset))
+
+    @staticmethod
+    def _branch(g: _Gen, u: _Union, disc: str, arm_body: Callable) -> None:
+        keyword = "if"
+        for values, fields in _arm_groups(u):
+            test = (f"{disc} == {g.bind(values[0])}" if len(values) == 1
+                    else f"{disc} in {g.bind(values)}")
+            with g.block(f"{keyword} {test}:"):
+                arm_body(fields)
+            keyword = "elif"
+        if u.default is None:
+            with g.block("else:"):
+                g.emit(f"raise XdrError(f'no union arm for {{{disc}!r}}')")
+        elif u.default:
+            with g.block("else:"):
+                arm_body(_fields(u.default))
+
+
+def _call_order(cls, names: list) -> tuple[list, list]:
+    """``cls``'s parameters that ``names`` covers from the first on, in
+    order (passed positionally), and the other names (by keyword)."""
+    positional = []
+    try:
+        params = list(inspect.signature(cls).parameters.values())
+    except (TypeError, ValueError):
+        params = []
+    for param in params:
+        if param.name not in names or param.kind not in (
+                param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD):
+            break
+        positional.append(param.name)
+    return positional, [name for name in names if name not in positional]
 
 
 def record(cls, *entries) -> Codec:

@@ -195,6 +195,56 @@ def test_procgen_plain_iterators_stay_free():
     assert report.ok
 
 
+def test_procgen_bad_yield_in_finally():
+    report = run("""
+        def worker(sim, pool):
+            req = pool.request()
+            try:
+                yield req
+            finally:
+                yield from pool.release(req)
+
+        def main(sim, pool):
+            sim.process(worker(sim, pool))
+    """)
+    assert rules_of(report) == {"yield-in-finally"}
+
+
+def test_procgen_yield_in_finally_beyond_discovered_processes():
+    # No sim.process() seed: the transport's call path is reached
+    # through dynamic dispatch the discovery cannot follow.
+    report = run("""
+        class Client:
+            def call(self, sim):
+                try:
+                    yield sim.timeout(1)
+                finally:
+                    yield sim.timeout(2)
+    """)
+    assert rules_of(report) == {"yield-in-finally"}
+
+
+def test_procgen_good_release_outside_finally():
+    report = run("""
+        def worker(sim, pool):
+            req = pool.request()
+            try:
+                yield req
+            except BaseException as exc:
+                yield from pool.release(req, isinstance(exc, GeneratorExit))
+                raise
+            finally:
+                def later():
+                    yield sim.timeout(1)
+                pool.note(later)
+            yield from pool.release(req)
+
+        def main(sim, pool):
+            sim.process(worker(sim, pool))
+    """)
+    assert report.ok
+
+
 def test_procgen_bad_generator_callback():
     report = run("""
         def on_done(ev):
@@ -413,7 +463,8 @@ def test_unknown_rule_rejected():
 def test_rule_names_cover_all_packs():
     names = rule_names()
     for expected in ("wallclock", "zero-cost-off", "purity-escape",
-                     "process-yield", "callback-yield", "double-trigger",
+                     "process-yield", "yield-in-finally", "callback-yield",
+                     "double-trigger",
                      "exception-boundary", "unguarded-decode",
                      "unused-suppression"):
         assert expected in names

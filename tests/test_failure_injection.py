@@ -1,6 +1,10 @@
 """Failure injection: QP death, automatic recovery, exactly-once replay."""
 
+import gc
+import sys
 from dataclasses import replace
+
+import pytest
 
 from repro.analysis import SOLARIS_SDR
 from repro.core.base import TransportError
@@ -9,6 +13,8 @@ from repro.core.strategies import FmrStrategy
 from repro.experiments import Cluster, ClusterConfig
 from repro.faults import FaultPlan
 from repro.ib.verbs import QPError
+from repro.nfs.server import NfsServer
+from repro.workloads.iozone import IozoneParams, run_iozone
 
 NFS_PROG, NFS_VERS = 100003, 3
 
@@ -263,3 +269,25 @@ def test_experiment_runners_smoke():
     audit = run_security_audit()
     designs = [row[0] for row in audit.rows]
     assert designs == ["rdma-rr", "rdma-rw"]
+
+
+@pytest.mark.parametrize("transport", ["rdma-rw", "rdma-rr"])
+def test_aborted_run_closes_inflight_calls_quietly(monkeypatch, transport):
+    """A run that aborts with calls in flight leaves their generators
+    suspended; collecting them must release without yielding, so no
+    'generator ignored GeneratorExit' reaches sys.unraisablehook."""
+    def failing_write(self, call, args):
+        raise RuntimeError("injected server fault")
+        yield  # pragma: no cover
+
+    monkeypatch.setattr(NfsServer, "_do_write", failing_write)
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    cluster = Cluster(ClusterConfig(transport=transport))
+    params = IozoneParams(nthreads=4, record_bytes=64 << 10,
+                          file_bytes=1 << 20, ops_per_thread=4)
+    with pytest.raises(RuntimeError, match="injected server fault"):
+        run_iozone(cluster, params)
+    del cluster
+    gc.collect()
+    assert [str(u.exc_value) for u in unraisable] == []

@@ -3,6 +3,7 @@ meters, counters, and the wire model's accounting."""
 
 import pytest
 
+from repro.experiments import Cluster, ClusterConfig
 from repro.ib import (
     AccessFlags,
     CompletionQueue,
@@ -18,6 +19,7 @@ from repro.ib import (
 )
 from repro.ib.verbs import Cqe, Opcode, QPState
 from repro.sim import Simulator
+from repro.workloads.iozone import IozoneParams, run_iozone
 
 
 def make_pair(**kwargs):
@@ -78,6 +80,18 @@ def test_cq_wait_consumes_queued_first():
     assert len(cq) == 0
 
 
+def test_cluster_run_leaves_no_queued_cqes():
+    """Fabric CQs have an interrupt handler and no poller: each CQE goes
+    to the handler and is not also kept in the queue."""
+    cluster = Cluster(ClusterConfig(transport="rdma-rw"))
+    run_iozone(cluster, IozoneParams(nthreads=2, record_bytes=64 << 10,
+                                     file_bytes=1 << 20, ops_per_thread=4))
+    cqs = {id(cq): cq for node in cluster.fabric.nodes.values()
+           for qp in node.hca.qps for cq in (qp.send_cq, qp.recv_cq)}
+    assert sum(cq.total for cq in cqs.values()) > 0
+    assert [len(cq) for cq in cqs.values()] == [0] * len(cqs)
+
+
 def test_unsignaled_wr_produces_no_cqe():
     sim, a, b, qa, qb = make_pair()
     lbuf, lmr = reg(sim, a, 4096, AccessFlags.LOCAL_WRITE)
@@ -93,7 +107,7 @@ def test_unsignaled_wr_produces_no_cqe():
 
     sim.run_until_complete(sim.process(proc()))
     assert wr.cqe.ok
-    assert len(qa.send_cq) == 0  # nothing delivered to the CQ
+    assert qa.send_cq.total == 0  # nothing delivered to the CQ
 
 
 # ---------------------------------------------------------------- QP flush

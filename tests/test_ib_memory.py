@@ -64,6 +64,24 @@ def test_arena_free():
         arena.free(buf)
 
 
+@pytest.mark.parametrize("victim", [0, 2, 4], ids=["first", "middle", "last"])
+def test_arena_free_keeps_neighbours(victim):
+    arena = MemoryArena()
+    bufs = [arena.alloc(3 * PAGE_SIZE) for _ in range(5)]
+    gone = bufs[victim]
+    arena.free(gone)
+    for addr in (gone.addr, gone.addr + PAGE_SIZE, gone.addr + gone.length - 1):
+        with pytest.raises(ProtectionError):
+            arena.resolve(addr, 1)
+    for buf in bufs:
+        if buf is not gone:
+            assert arena.resolve(buf.addr, buf.length) == (buf, 0)
+            assert arena.resolve(buf.addr + buf.length - 1, 1) == (buf, buf.length - 1)
+    assert arena.allocated_bytes == 4 * 3 * PAGE_SIZE
+    with pytest.raises(ValueError):
+        arena.free(gone)
+
+
 def test_arena_zero_alloc_rejected():
     with pytest.raises(ValueError):
         MemoryArena().alloc(0)

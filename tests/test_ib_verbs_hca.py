@@ -174,7 +174,7 @@ def test_rdma_write_places_bytes_no_remote_cqe_no_remote_cpu():
     sim.run_until_complete(sim.process(proc()))
     assert wr.cqe.ok
     assert rbuf.peek(0, 15) == b"written-by-rdma"
-    assert len(qb.recv_cq) == 0  # one-sided: no remote CQE
+    assert qb.recv_cq.total == 0  # one-sided: no remote CQE
     assert b.cpu.busy_us_total == b_cpu_before  # no remote CPU involvement
 
 

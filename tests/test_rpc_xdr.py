@@ -1,6 +1,7 @@
 """Unit + property tests for the XDR schema vocabulary and compiler."""
 
 import struct
+import traceback
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional
@@ -8,6 +9,7 @@ from typing import Optional
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.rpc import xdr
 from repro.rpc.xdr import (
     BOOL, I32, I64, OPAQUE, STRING, TAIL, U32, U64, VOID, XdrError, array,
     const, enum, fixed, fixed_opaque, ignore, key, optional, record, result,
@@ -227,6 +229,21 @@ def test_constructor_rejection_is_typed():
 
     with pytest.raises(XdrError):
         record(Positive, ("n", U32)).decode(U32.encode(0))
+
+
+def test_generated_source_is_kept_and_attributed_to_this_module():
+    assert "def encode_Point" in POINT.source
+    assert "def decode_Point" in POINT.source
+    for fn in (POINT._encode, POINT._decode):
+        assert fn.__code__.co_filename == xdr.__file__
+    # A traceback line through generated code is past the end of the
+    # module, offset from the matching line of ``source``.
+    with pytest.raises(AttributeError) as info:
+        POINT.encode(object())
+    frame = traceback.extract_tb(info.value.__traceback__)[-1]
+    line = POINT.source.splitlines()[frame.lineno - xdr._LINE_BASE - 1]
+    assert frame.name.startswith("encode_Point")
+    assert f"v.{info.value.name}" in line
 
 
 # ---------------------------------------------------------------- properties
