@@ -358,7 +358,7 @@ class _Opaque(Codec):
         g.emit(f"{n}, = _u32(buf, pos)")
         g.emit(f"{end} = pos + 4 + {n}")
         g.reject(f"{end} + (-{n} & 3) > len(buf)",
-               f"truncated XDR: opaque of {{{n}}} bytes at offset {{pos}}")
+                 f"truncated XDR: opaque of {{{n}}} bytes at offset {{pos}}")
         g.emit(f"{value} = buf[pos + 4:{end}]" + (".decode('utf-8')" if self._text else ""))
         g.emit(f"pos = {end} + (-{n} & 3)")
         return value
@@ -377,7 +377,7 @@ class _FixedOpaque(Codec):
         x = g.local(x)
         size = g.bind(self._size)
         g.reject(f"len({x}) != {size}",
-               f"fixed opaque of {{len({x})}} bytes, expected {{{size}}}")
+                 f"fixed opaque of {{len({x})}} bytes, expected {{{size}}}")
         g.out(f"bytes({x})")
         g.out_const(_PADDING[self._size & 3])
 
@@ -455,7 +455,7 @@ class _Array(Codec):
             end = g.tmp("e")
             g.emit(f"{end} = pos + {n} * {rows.size}")
             g.reject(f"{end} > len(buf)",
-                   f"truncated XDR: {{{n}}} array items at offset {{pos}}")
+                     f"truncated XDR: {{{n}}} array items at offset {{pos}}")
             slots = [g.tmp("s") for _ in self._item.fmt]
             with g.block(f"for {', '.join(slots)}, in {g.bind(rows.iter_unpack)}(buf[pos:{end}]):"):
                 g.emit(f"{out}.append({self._item._dec_value(g, slots)})")
@@ -737,7 +737,7 @@ class _Record(Codec):
                 if f.check:
                     expected = g.bind(f.value)
                     g.reject(f"{value} != {expected}",
-                           f"expected {{{expected}!r}}, got {{{value}!r}}")
+                             f"expected {{{expected}!r}}, got {{{value}!r}}")
                 elif f.name is not None:
                     self._set(g, scope, preset, f.name, value)
         flush()
