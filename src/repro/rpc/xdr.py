@@ -622,13 +622,13 @@ class _Record(Codec):
 
     # -- fixed width -------------------------------------------------------
     def _enc_slots(self, g: _Gen, x: str) -> list[str]:
-        x = g.local(x)
+        return self._run_slots(g, g.local(x), self._fields, {})
+
+    def _run_slots(self, g: _Gen, x: str, run: list, discs: dict) -> list[str]:
         slots: list[str] = []
-        for f in self._fields:
-            if f.src is None:
-                slots += [g.bind(w) for w in f.elem._wire(f.value)]
-            else:
-                slots += f.elem._enc_slots(g, self._get(x, f.src, {}))
+        for f in run:
+            slots += ([g.bind(w) for w in f.elem._wire(f.value)] if f.src is None
+                      else f.elem._enc_slots(g, self._get(x, f.src, discs)))
         return slots
 
     def _dec_value(self, g: _Gen, slots: list[str], keep: bool = True) -> Optional[str]:
@@ -683,10 +683,7 @@ class _Record(Codec):
             if all(f.src is None for f in run):
                 g.out_const(st.pack(*[w for f in run for w in f.elem._wire(f.value)]))
             else:
-                args: list[str] = []
-                for f in run:
-                    args += ([g.bind(w) for w in f.elem._wire(f.value)] if f.src is None
-                             else f.elem._enc_slots(g, self._get(x, f.src, discs)))
+                args = self._run_slots(g, x, run, discs)
                 g.out(f"{g.bind(st.pack)}({', '.join(args)})")
             run.clear()
 
