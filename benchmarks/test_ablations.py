@@ -29,7 +29,7 @@ def _iozone(cluster, **kwargs):
     return run_iozone(cluster, params)
 
 
-def test_ablation_read_engine_serialization(benchmark, bench_scale):
+def test_ablation_read_engine_serialization():
     """WRITE throughput vs the responder read-engine turnaround (§4.1).
 
     The paper blames the WRITE ceiling on "the serialization of RDMA
@@ -52,17 +52,16 @@ def test_ablation_read_engine_serialization(benchmark, bench_scale):
             rows.append((setup_us, round(result.write_mb_s, 1)))
         return rows
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
     print()
     print(format_table(["read setup us", "write MB/s"], rows))
     by_setup = dict(rows)
     # Write bandwidth tracks 128KB/(setup+wire) until other costs bind.
     assert by_setup[20.0] > 1.5 * by_setup[220.0]
     assert by_setup[220.0] > by_setup[440.0]
-    benchmark.extra_info["rows"] = rows
 
 
-def test_ablation_inline_threshold(benchmark, bench_scale):
+def test_ablation_inline_threshold():
     """Small-write throughput vs the inline threshold (Fig 2 knob)."""
 
     def sweep():
@@ -78,17 +77,16 @@ def test_ablation_inline_threshold(benchmark, bench_scale):
             rows.append((inline, round(result.write_mb_s, 1)))
         return rows
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
     print()
     print(format_table(["inline bytes", "2KB-record write MB/s"], rows))
     by_inline = dict(rows)
     # Once 2KB records fit inline (4096+), the chunk/registration path —
     # and its cost — disappears from the write path entirely.
     assert by_inline[4096] > 1.5 * by_inline[1024]
-    benchmark.extra_info["rows"] = rows
 
 
-def test_ablation_client_registration_cache(benchmark, bench_scale):
+def test_ablation_client_registration_cache():
     """TR extension: caching client registrations lifts the Fig 7 cache
     plateau the rest of the way toward the wire."""
 
@@ -100,15 +98,14 @@ def test_ablation_client_registration_cache(benchmark, bench_scale):
             rows.append((strategy, round(result.read_mb_s, 1)))
         return rows
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
     print()
     print(format_table(["strategy", "read MB/s"], rows))
     by_strategy = dict(rows)
     assert by_strategy["dynamic"] < by_strategy["cache"] < by_strategy["client-cache"]
-    benchmark.extra_info["rows"] = rows
 
 
-def test_ablation_adaptive_credits_under_flood(benchmark, bench_scale):
+def test_ablation_adaptive_credits_under_flood():
     """§7 future work: AIMD credits tame a flooding client's backlog."""
 
     def run_once(adaptive: bool):
@@ -152,7 +149,7 @@ def test_ablation_adaptive_credits_under_flood(benchmark, bench_scale):
     def sweep():
         return {"static": run_once(False), "adaptive": run_once(True)}
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = sweep()
     print()
     print(format_table(
         ["policy", "peak dispatcher backlog", "peak client outstanding"],
@@ -161,10 +158,9 @@ def test_ablation_adaptive_credits_under_flood(benchmark, bench_scale):
     # Adaptive grants clamp how deep one client can bury the server.
     assert results["adaptive"][1] < results["static"][1]
     assert results["adaptive"][0] <= results["static"][0]
-    benchmark.extra_info["rows"] = {k: list(v) for k, v in results.items()}
 
 
-def test_ablation_interrupt_cost(benchmark, bench_scale):
+def test_ablation_interrupt_cost():
     """§4.2 probes: the Read-Read design takes more interrupts per READ
     (the RDMA_DONE completion among them), so inflating per-interrupt
     CPU cost hurts it disproportionately."""
@@ -185,7 +181,7 @@ def test_ablation_interrupt_cost(benchmark, bench_scale):
                              round(result.server_cpu_read * 100, 1)))
         return rows
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
     print()
     print(format_table(
         ["irq cost us", "design", "read MB/s", "total irqs", "server CPU %"],
@@ -199,4 +195,3 @@ def test_ablation_interrupt_cost(benchmark, bench_scale):
     # throughput — the TPT/read-engine ceilings bind first.  Server CPU
     # rises with interrupt cost.
     assert by[(48.0, "rdma-rr")][4] > by[(0.0, "rdma-rr")][4]
-    benchmark.extra_info["rows"] = rows

@@ -12,10 +12,8 @@ procedures and durability of every acknowledged stable write.
 from repro.experiments.chaos import run_chaos_soak
 
 
-def test_chaos_soak(benchmark, bench_scale, record_result):
-    out = benchmark.pedantic(
-        run_chaos_soak, args=(bench_scale,), rounds=1, iterations=1,
-    )
+def test_chaos_soak(bench_scale, record_result):
+    out = run_chaos_soak(bench_scale)
     record_result(out.summary)
 
     # The workload survives the schedule without manual intervention.

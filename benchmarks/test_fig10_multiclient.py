@@ -1,7 +1,5 @@
 """Fig 10: multi-client IOzone Read — RDMA vs IPoIB vs GigE over RAID."""
 
-import pytest
-
 from repro.experiments.figures import (
     FIG10_CACHE_BIG,
     FIG10_CACHE_SMALL,
@@ -13,12 +11,9 @@ def _series(result, transport):
     return {row[2]: row[3] for row in result.rows if row[0] == transport}
 
 
-def test_fig10a_small_server_cache(benchmark, bench_scale, record_result):
+def test_fig10a_small_server_cache(bench_scale, record_result):
     """Fig 10(a): server cache = 4x one client file (the paper's 4 GB)."""
-    result = benchmark.pedantic(
-        run_fig10, args=(bench_scale,), kwargs={"cache_bytes": FIG10_CACHE_SMALL},
-        rounds=1, iterations=1,
-    )
+    result = run_fig10(bench_scale, cache_bytes=FIG10_CACHE_SMALL)
     record_result(result)
     rdma = _series(result, "RDMA")
     ipoib = _series(result, "IPoIB")
@@ -34,12 +29,9 @@ def test_fig10a_small_server_cache(benchmark, bench_scale, record_result):
     assert 85 <= max(gige.values()) <= 125
 
 
-def test_fig10b_large_server_cache(benchmark, bench_scale, record_result):
+def test_fig10b_large_server_cache(bench_scale, record_result):
     """Fig 10(b): server cache = 8x one client file (the paper's 8 GB)."""
-    result = benchmark.pedantic(
-        run_fig10, args=(bench_scale,), kwargs={"cache_bytes": FIG10_CACHE_BIG},
-        rounds=1, iterations=1,
-    )
+    result = run_fig10(bench_scale, cache_bytes=FIG10_CACHE_BIG)
     record_result(result)
     rdma = _series(result, "RDMA")
     ipoib = _series(result, "IPoIB")

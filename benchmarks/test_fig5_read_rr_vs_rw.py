@@ -12,9 +12,8 @@ def _at(result, series, threads):
                 if row[0] == series and row[1] == threads)
 
 
-def test_fig5_read_bandwidth_rr_vs_rw(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(run_fig5, args=(bench_scale,),
-                                rounds=1, iterations=1)
+def test_fig5_read_bandwidth_rr_vs_rw(bench_scale, record_result):
+    result = run_fig5(bench_scale)
     record_result(result)
 
     rr_sat = _series_max(result, "RR-128K")

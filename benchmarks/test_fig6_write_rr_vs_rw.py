@@ -7,9 +7,8 @@ def _series(result, name):
     return {row[1]: row for row in result.rows if row[0] == name}
 
 
-def test_fig6_write_bandwidth_and_client_cpu(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(run_fig6, args=(bench_scale,),
-                                rounds=1, iterations=1)
+def test_fig6_write_bandwidth_and_client_cpu(bench_scale, record_result):
+    result = run_fig6(bench_scale)
     record_result(result)
 
     rr = _series(result, "RR-128K")

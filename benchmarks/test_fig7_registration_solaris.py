@@ -7,9 +7,8 @@ def _sat(result, series, column):
     return max(row[column] for row in result.rows if row[0] == series)
 
 
-def test_fig7_registration_strategies_solaris(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(run_fig7, args=(bench_scale,),
-                                rounds=1, iterations=1)
+def test_fig7_registration_strategies_solaris(bench_scale, record_result):
+    result = run_fig7(bench_scale)
     record_result(result)
 
     reg_read = _sat(result, "RW-Register-Solaris", 2)

@@ -7,9 +7,8 @@ def _best(result, strategy):
     return max(row[2] for row in result.rows if row[0] == strategy)
 
 
-def test_fig8_oltp_registration_strategies(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(run_fig8, args=(bench_scale,),
-                                rounds=1, iterations=1)
+def test_fig8_oltp_registration_strategies(bench_scale, record_result):
+    result = run_fig8(bench_scale)
     record_result(result)
 
     register = _best(result, "Register")

@@ -12,9 +12,8 @@ def _at_max_threads(result, series, column):
     return max(rows, key=lambda r: r[1])[column]
 
 
-def test_fig9_registration_strategies_linux(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(run_fig9, args=(bench_scale,),
-                                rounds=1, iterations=1)
+def test_fig9_registration_strategies_linux(bench_scale, record_result):
+    result = run_fig9(bench_scale)
     record_result(result)
 
     reg_read = _sat(result, "RW-Register-Linux", 2)

@@ -3,9 +3,8 @@
 from repro.experiments.figures import run_security_audit
 
 
-def test_security_exposure_rr_vs_rw(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(run_security_audit, args=(bench_scale,),
-                                rounds=1, iterations=1)
+def test_security_exposure_rr_vs_rw(bench_scale, record_result):
+    result = run_security_audit(bench_scale)
     record_result(result)
     by_design = {row[0]: row for row in result.rows}
     rr = by_design["rdma-rr"]

@@ -3,9 +3,8 @@
 from repro.experiments.figures import run_table1
 
 
-def test_table1_primitive_properties(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(run_table1, args=(bench_scale,),
-                                rounds=1, iterations=1)
+def test_table1_primitive_properties(bench_scale, record_result):
+    result = run_table1(bench_scale)
     record_result(result)
     by_primitive = {row[0]: row[1:] for row in result.rows}
     # The paper's matrix: channel = pre-posted only; memory = exposed +

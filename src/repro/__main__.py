@@ -7,7 +7,6 @@
     python -m repro attack --figure fig12 [--scale quick|full] [--jobs N]
     python -m repro check [--figure fig5] [--perturb-seed S ...] [--jobs N]
     python -m repro report [--scale quick|full] [--jobs N] [--output EXPERIMENTS.md]
-    python -m repro bench [--scale quick|full] [--jobs N] [--output-dir .]
     python -m repro health --experiment fig5 [--slo slo/quick.toml] [--sink stdout|json|otel]
     python -m repro stats --figure fig5 --quick [--point N] [--json]
     python -m repro trace --figure fig5 --quick --out trace.json
@@ -75,71 +74,6 @@ def cmd_run(args) -> int:
     chart = _chart_for(result)
     if chart:
         print(chart)
-    return 0
-
-
-#: The figures benchmarked by ``python -m repro bench`` (satellite of
-#: DESIGN.md §8): each produces BENCH_<name>.json next to --output-dir.
-BENCH_FIGURES = ("fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-                 "fig12", "fig13")
-
-#: BENCH_*.json schema (``schema_version``, ``events``, ``core``); the
-#: only version tools/bench_gate.py reads.
-BENCH_SCHEMA_VERSION = 2
-
-
-def _bench_profile(name: str, scale: str, jobs: int, top: int = 25) -> object:
-    """Run one figure under cProfile and print the top-N hot spots."""
-    import cProfile
-    import pstats
-
-    holder: dict = {}
-    prof = cProfile.Profile()
-    prof.enable()
-    try:
-        holder["result"] = run_experiment(name, scale, jobs=jobs)
-    finally:
-        prof.disable()
-    stats = pstats.Stats(prof, stream=sys.stdout)
-    for sort in ("cumulative", "tottime"):
-        print(f"\n--- {name}: cProfile top {top} by {sort} ---")
-        stats.sort_stats(sort).print_stats(top)
-    return holder["result"]
-
-
-def cmd_bench(args) -> int:
-    """Benchmark the simulator itself: wall time and events/sec per figure."""
-    import json
-    import os
-    import time
-
-    from repro.sim.engine import ACTIVE_CORE
-
-    os.makedirs(args.output_dir, exist_ok=True)
-    for name in BENCH_FIGURES:
-        t0 = time.perf_counter()  # lint-sim: allow[wallclock] (host bench timing)
-        if args.profile:
-            result = _bench_profile(name, args.scale, args.jobs, top=args.profile_top)
-        else:
-            result = run_experiment(name, args.scale, jobs=args.jobs)
-        wall = time.perf_counter() - t0  # lint-sim: allow[wallclock] (host bench timing)
-        payload = {
-            "schema_version": BENCH_SCHEMA_VERSION,
-            "experiment": name,
-            "scale": args.scale,
-            "jobs": args.jobs,
-            "core": ACTIVE_CORE,
-            "wall_seconds": round(wall, 3),
-            "events": result.events,
-            "events_per_sec": round(result.events / wall) if wall else 0,
-            "points": len(result.rows),
-        }
-        path = os.path.join(args.output_dir, f"BENCH_{name}.json")
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"{name}: {wall:6.1f}s wall  {result.events:>10,} events  "
-              f"{payload['events_per_sec']:>10,} events/s  -> {path}")
     return 0
 
 
@@ -373,18 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--output", default="EXPERIMENTS.md")
     p.set_defaults(fn=cmd_report)
-
-    p = sub.add_parser("bench", help="benchmark the simulator (BENCH_*.json)")
-    p.add_argument("--scale", choices=("quick", "full"), default="quick")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--output-dir", default=".")
-    p.add_argument("--profile", action="store_true",
-                   help="run each figure under cProfile and print the "
-                        "top-N hot spots (cumulative + tottime); wall "
-                        "numbers then include profiler overhead")
-    p.add_argument("--profile-top", type=int, default=25, metavar="N",
-                   help="rows per cProfile table (default 25)")
-    p.set_defaults(fn=cmd_bench)
 
     def _add_point_args(p):
         p.add_argument("--figure",

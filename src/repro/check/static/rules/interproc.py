@@ -3,7 +3,7 @@
 The intraprocedural purity rules flag a wall-clock read or global-RNG
 draw *where it is written*.  What they cannot see is laundering through
 a helper: a host-side utility with a legitimate
-``# lint-sim: allow[wallclock]`` (bench timing, report stamps) that sim
+``# lint-sim: allow[wallclock]`` (report timing stamps) that sim
 code later starts calling — the direct finding stays suppressed at the
 definition site and the nondeterminism walks into the schedule unseen.
 

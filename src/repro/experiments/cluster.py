@@ -465,20 +465,29 @@ class ServerStack:
         return next((t for t in self.server_transports if t.qp is qp.peer),
                     None)
 
+    def admit_redial(self, name: str) -> None:
+        """Quarantine admission for a client dialing back in.
+
+        A quarantined client is refused (counted in the policy's
+        ``redials_refused``): the ban outlives the evicted connection.
+        The one check for both :meth:`redial` and the raw adversaries'
+        redials in ``repro.security.campaign``.
+        """
+        policy = self.security_policy
+        if policy is not None and policy.is_banned(name):
+            policy.redials_refused.add()
+            raise TransportError(f"{name}: redial refused (quarantined)")
+
     def redial(self, client):
         """Transport recovery policy (installed as ``client.reconnector``).
 
         Tears down the dead connection (the server side reclaims
         anything the old client pinned — §4.1's operational defense),
         then hands back a fresh QP and the new server transport's ready
-        event for the CM handshake.  A quarantined client is refused:
-        the ban outlives the evicted connection.
+        event for the CM handshake.  A quarantined client is refused
+        (:meth:`admit_redial`).
         """
-        policy = self.security_policy
-        if policy is not None and policy.is_banned(client.node.name):
-            policy.redials_refused.add()
-            raise TransportError(
-                f"{client.node.name}: redial refused (quarantined)")
+        self.admit_redial(client.node.name)
         old_qp = client.qp
         old_server = self.transport_peered_with(old_qp)
         if old_qp.state is not QPState.ERROR:

@@ -49,8 +49,6 @@ class ExperimentResult:
     headers: list[str]
     rows: list[list]
     paper_reference: str
-    #: total simulator events stepped across every point (bench metric).
-    events: int = 0
 
     def table(self) -> str:
         return format_table(self.headers, self.rows)
@@ -111,10 +109,6 @@ def figure_grid(name: str, scale: str = "quick") -> list[tuple[str, Point]]:
     )
 
 
-def _events(results: list[dict]) -> int:
-    return sum(r["events"] for r in results)
-
-
 # ---------------------------------------------------------------- Table 1
 def run_table1(scale: str = "quick", jobs: int = 1) -> ExperimentResult:
     """Table 1: communication-primitive properties, probed live."""
@@ -173,7 +167,6 @@ def run_fig5(scale: str = "quick", jobs: int = 1) -> ExperimentResult:
             "thread/128K shrinking to ~5% at 8 threads; record size barely "
             "matters"
         ),
-        events=_events(results),
     )
 
 
@@ -192,7 +185,6 @@ def run_fig6(scale: str = "quick", jobs: int = 1) -> ExperimentResult:
             "write paths nearly identical (both RDMA-Read based, bounded by "
             "read serialization); client CPU: RR 4%->24%, RW flat 2%->5%"
         ),
-        events=_events(results),
     )
 
 
@@ -234,7 +226,6 @@ def run_fig7(scale: str = "quick", jobs: int = 1) -> ExperimentResult:
             "read: Register ~350, FMR ~400, Cache ~730 MB/s; write: FMR "
             "modest, Cache ~515 MB/s (bounded by RDMA Read serialization)"
         ),
-        events=_events(results),
     )
 
 
@@ -259,7 +250,6 @@ def run_fig9(scale: str = "quick", jobs: int = 1) -> ExperimentResult:
             "All-Physical degrades below FMR (no scatter/gather -> more read "
             "chunks -> IRD/ORD limit)"
         ),
-        events=_events(results),
     )
 
 
@@ -301,7 +291,6 @@ def run_fig8(scale: str = "quick", jobs: int = 1) -> ExperimentResult:
             "registration; FMR comparable to dynamic; CPU/op slightly higher "
             "for cache"
         ),
-        events=_events(results),
     )
 
 
@@ -357,7 +346,6 @@ def run_fig10(scale: str = "quick", cache_bytes: Optional[int] = None,
             "bandwidth; IPoIB ~326; GigE ~107 falling. 8GB: RDMA >900 MB/s "
             "through 7 clients; IPoIB ~360"
         ),
-        events=_events(results),
     )
 
 
@@ -413,7 +401,6 @@ def run_fig11(scale: str = "quick", jobs: int = 1) -> ExperimentResult:
             "receive memory sublinear (per-connection rings grow linearly); "
             "IPoIB saturates far below the RDMA series"
         ),
-        events=_events(results),
     )
 
 
@@ -482,7 +469,6 @@ def run_fig12(scale: str = "quick", jobs: int = 1) -> ExperimentResult:
             "AES adds integrity at measurable CPU cost. RW is flat across "
             "the ladder — no server stags exist to attack (§4.2)"
         ),
-        events=_events(results),
     )
 
 
@@ -546,7 +532,6 @@ def run_fig13(scale: str = "quick", jobs: int = 1) -> ExperimentResult:
             "where a single muxed server saturates; aggregate bandwidth "
             "matches per-connection at low mount counts"
         ),
-        events=_events(results),
     )
 
 
@@ -574,5 +559,4 @@ def run_security_audit(scale: str = "quick", jobs: int = 1) -> ExperimentResult:
             "Read-Read exposes a server window per bulk reply and depends on "
             "client DONEs; Read-Write exposes zero server stags, ever"
         ),
-        events=_events(results),
     )

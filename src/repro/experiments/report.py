@@ -151,20 +151,39 @@ by construction, asserted in tests/test_srq.py).
 BENCH_RECIPE = """\
 ## Benchmarking the simulator itself
 
-The tables above measure the *simulated* cluster; to measure the
-simulator, run:
+The tables above measure the *simulated* cluster.  The simulator's own
+host time is measured by `perfbench/` (see `perfbench/README.md`):
 
 ```
-PYTHONPATH=src python -m repro bench --scale quick --jobs "$(nproc)"
+python3 perfbench/run.py --workload all --seconds 15 --trace 0
 ```
 
-This times every figure runner and writes `BENCH_fig{5..11}.json`
-(wall seconds, simulator events stepped, events/sec).  CI runs the
-same command as a smoke job with a wall-clock budget and archives the
-JSON artifacts.  `--jobs N` parallelises the independent figure points
-across worker processes with bit-identical tables (DESIGN.md §8);
-comparing `--jobs 1` against `--jobs N` output is itself a determinism
-check.
+`--trace 0` reports each workload's median `wall_s`, `cpu_s`,
+`setup_s` and `peak_rss_mb`; `--trace 1` runs the same work under the
+profiler and reports host time per `repro` package (the layer table).
+For a cProfile listing of one figure:
+
+```
+PYTHONPATH=src python -m cProfile -s tottime -m repro run fig5
+```
+
+To compare two commits, run perfbench in a checkout of each on one
+host, interleaved (base, head, head, base), and compare the runs:
+
+```
+python tools/bench_gate.py --base base-1.out base-2.out \\
+    --head head-1.out head-2.out
+```
+
+The gate takes each side's median of every workload metric and fails
+(exit 1) when head is worse than base by more than the metric's
+`bound` in `BENCHMARK.json`, or when a head run is not `correct` or
+has failed ops; unreadable input exits 2.  CI runs this A/B against
+the base commit on every push and pull request (`perf-ab` job).
+
+`--jobs N` parallelises a figure's independent points across worker
+processes with bit-identical tables (DESIGN.md §8); comparing
+`--jobs 1` against `--jobs N` output is itself a determinism check.
 """
 
 

@@ -164,7 +164,7 @@ class CachingNfsClient:
         return join_parts([page[within:], Payload.zeros(take - avail)])
 
     def _invalidate_data(self, fileid: int) -> None:
-        dropped = self.pages.invalidate(fileid)
+        self.pages.invalidate(fileid)
         doomed = [k for k in self._content if k[0] == fileid]
         for k in doomed:
             del self._content[k]

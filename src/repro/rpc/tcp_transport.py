@@ -86,7 +86,7 @@ class TcpRpcClient(RpcClientTransport):
             return reply
         timeout_us = self.retrans_timeout_us
         for attempt in range(self.max_retries + 1):
-            race = yield AnyOf(self.sim, [waiter, self.sim.timeout(timeout_us)])
+            yield AnyOf(self.sim, [waiter, self.sim.timeout(timeout_us)])
             if waiter.triggered:
                 return waiter.value
             if attempt < self.max_retries:

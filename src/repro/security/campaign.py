@@ -149,10 +149,7 @@ def _qp_factory(cluster, node, servers: list, with_ready: bool = False):
     stack = cluster.server_stacks[0]
 
     def factory():
-        policy = stack.security_policy
-        if policy is not None and policy.is_banned(node.name):
-            policy.redials_refused.add()
-            raise TransportError(f"{node.name}: redial refused (quarantined)")
+        stack.admit_redial(node.name)
         qp_c, qp_s = cluster.fabric.connect(node, stack.node)
         server = stack.make_transport(qp_s)
         servers.append(server)

@@ -284,8 +284,8 @@ class Simulator:
         self._open: list = []
         self._oi: int = 0
         self._open_when: float = _NO_BUCKET
-        #: total events processed — the simulator's own work metric,
-        #: reported by ``python -m repro bench`` as events/sec.
+        #: total events processed — the simulator's own work metric
+        #: (each figure point's ``events``; perfbench's ``sim.events``).
         self.steps = 0
         #: observability root (repro.telemetry.Telemetry) or None.  This
         #: is the single disable flag: every instrumented site does one

@@ -22,9 +22,9 @@ either way.
 
 from __future__ import annotations
 
-from repro.ib.verbs import QPState
 from typing import Any, Optional
 
+from repro.ib.verbs import QPState
 from repro.telemetry.registry import Counter, Gauge, Histogram, Registry, Sample
 from repro.telemetry.spans import Span, SpanTracer
 

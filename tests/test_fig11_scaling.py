@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.figures import figure_grid, run_fig11
 from repro.experiments.registry import EXPERIMENTS, run
+from repro.experiments.sweep import sweep
 
 
 @pytest.fixture(scope="module")
@@ -29,10 +30,11 @@ def test_quick_grid_deterministic(fig11_quick):
     assert again.rows == fig11_quick.rows
 
 
-def test_parallel_sweep_bit_identical(fig11_quick):
-    parallel = run_fig11("quick", jobs=4)
-    assert parallel.rows == fig11_quick.rows
-    assert parallel.events == fig11_quick.events
+def test_parallel_sweep_bit_identical():
+    """Worker processes step the same schedule as one process: every
+    point's metrics and event count match ``jobs=1``."""
+    points = [p for _, p in figure_grid("fig11")]
+    assert sweep(points, jobs=4) == sweep(points, jobs=1)
 
 
 def test_srq_memory_sublinear_per_connection_linear(fig11_quick):

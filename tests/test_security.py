@@ -67,7 +67,6 @@ def test_stag_guessing_window_exists_against_rr_server():
     """Against Read-Read, exposed stags are real: an adversary fed the
     exposed-stag list (the 'partial knowledge' worst case) succeeds."""
     c, mount, adversary = _adversary_cluster("rdma-rr")
-    server_transport = c.server_transports[0]
     nfs = mount.nfs
 
     # Use a withheld-DONE situation to keep a window exposed during the
@@ -93,10 +92,9 @@ def test_targeted_guess_hits_live_rr_exposure():
     c = Cluster(ClusterConfig(transport="rdma-rr"))
     mount = c.mounts[0]
     nfs = mount.nfs
-    server_transport = c.server_transports[0]
 
     # Replace the client with one that withholds DONE: windows stay open.
-    withholder = DoneWithholdingClient(
+    DoneWithholdingClient(
         mount.node, mount.transport.qp, c.config.profile.rpcrdma,
         mount.transport.strategy,
     )
@@ -110,7 +108,6 @@ def test_targeted_guess_hits_live_rr_exposure():
         yield from nfs.read(fh, 0, 256 * 1024)
 
     c.run(traffic())
-    sim = c.sim
 
     exposed_ever = c.server_node.hca.tpt.stags_exposed_ever
     assert exposed_ever

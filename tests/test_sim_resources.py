@@ -63,7 +63,7 @@ def test_resource_priority_order():
 def test_resource_release_unheld_rejected():
     sim = Simulator()
     res = Resource(sim, capacity=1)
-    req = res.request()
+    res.request()
     other = Resource(sim, capacity=1).request()
     sim.run()
     with pytest.raises(SimulationError):
