@@ -7,7 +7,9 @@ the simulated results; the simulator's own host time is measured by
 ``perfbench/``.
 
 Set ``REPRO_BENCH_SCALE=full`` for the full-resolution sweeps used to
-regenerate EXPERIMENTS.md (slower).
+regenerate EXPERIMENTS.md (slower).  The ablations in
+``test_ablations.py`` are fixed-size (8 threads × 40 ops, or a 96-write
+flood) at either scale.
 """
 
 import os

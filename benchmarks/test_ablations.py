@@ -12,6 +12,10 @@ Not figures from the paper, but direct probes of its mechanisms:
   ceiling.
 * Adaptive credits — the §7 future-work flow control under a client
   flood.
+
+Each ablation is fixed-size — the IOzone probes run 8 threads × 40 ops,
+the credit flood 96 writes — and ``REPRO_BENCH_SCALE`` does not change
+them.
 """
 
 from dataclasses import replace

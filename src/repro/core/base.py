@@ -1,21 +1,24 @@
 """Shared machinery for both RPC/RDMA transport designs.
 
-Everything that is *identical* between the Read-Read and Read-Write
-designs lives here (§3–4 of the paper):
+Both designs follow the same inline-versus-chunk rules (Fig 2, §3–4),
+so every decision they share lives here, once:
 
-* pre-registered inline send/receive pools with credit-based flow
-  control (the client never overruns the server's posted receives);
-* the inline send path (RDMA_MSG) and the RPC long call (RDMA_NOMSG +
-  position-0 read chunks);
-* the NFS WRITE data path: client exposes read chunks, the server
-  RDMA-Reads them and **blocks until the reads complete** — the
-  synchronous-read stall of §4.1, required because InfiniBand does not
-  order a Read ahead of a later Send;
-* segment slicing/pairing helpers used to map possibly-fragmented
-  (all-physical) chunk lists onto individual RDMA operations.
+* registered buffer pools (inline sends and receives, Read-Read's
+  bounce buffers), rebuilt through the same path on a redial, and
+  credit-based flow control;
+* one framing path, :meth:`_RdmaEndpoint._frame`: bulk rides inline if
+  the message fits the inline threshold, else in peer memory; a message
+  still too large moves whole and goes out as RDMA_NOMSG (long call or
+  long reply);
+* one receive path, :meth:`_RdmaEndpoint._receiver`: private ring or
+  shared-pool inbox in, one header decode, dispatch out;
+* the NFS WRITE data path: the server RDMA-Reads the client's read
+  chunks and **blocks until the reads complete** — the §4.1 stall,
+  required because InfiniBand does not order a Read ahead of a later
+  Send.
 
-The designs subclass the client and server bases and override only the
-reply-direction bulk path — which is precisely where they differ.
+The designs supply only where reply bulk goes and, for Read-Read, the
+lifetime of the server windows the client reads it from.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from repro.errors import TransportError
 from repro.ib.fabric import IBNode
 from repro.ib.memory import AccessFlags
 from repro.ib.verbs import (
-    CqeStatus,
     QPError,
     QPState,
     QueuePair,
@@ -113,11 +115,13 @@ def pair_transfers(
 
 
 class _InlinePool:
-    """Pre-registered fixed-size buffers for inline sends/receives.
+    """Pre-registered fixed-size buffers (inline sends/receives, bounce).
 
     Registered once at connection setup, never per-operation — matching
     both real implementations and the paper's cost analysis (inline
-    traffic contributes no registration cost).
+    traffic contributes no registration cost).  A region taken from
+    :attr:`free` goes back to the same pool, even after a redial has
+    replaced the pool.
     """
 
     def __init__(self, node: IBNode, count: int, size: int, name: str):
@@ -143,6 +147,13 @@ class _InlinePool:
             self.regions.append(region)
             self.free.put(region)
 
+    def teardown(self) -> Generator:
+        """Deregister and free every buffer, lent out or not."""
+        for region in self.regions:
+            yield from self.node.hca.tpt.deregister(region.mr)
+            self.node.arena.free(region.buffer)
+        self.regions.clear()
+
 
 class _RdmaEndpoint:
     """Send-path plumbing shared by client and server endpoints."""
@@ -167,11 +178,7 @@ class _RdmaEndpoint:
         self.srq = srq
         self._srq_inbox = None
         self._bind_qp(qp)
-        self.send_pool = _InlinePool(node, config.credits, config.inline_threshold,
-                                     f"{name}.sendpool")
-        self.recv_pool = (None if srq is not None else
-                          _InlinePool(node, config.credits, config.inline_threshold,
-                                      f"{name}.recvpool"))
+        self._make_pools()
         self.headers_sent = Counter(f"{name}.headers")
         #: inbound frames whose RPC/RDMA header or RPC message failed to
         #: decode; they are dropped and the endpoint keeps running.
@@ -201,31 +208,34 @@ class _RdmaEndpoint:
         """Subclass hook: synchronous reaction to connection death."""
 
     # -- setup ---------------------------------------------------------
+    def _make_pools(self) -> None:
+        """(Re)create the registered buffer pools, in set-up order."""
+        credits, size = self.config.credits, self.config.inline_threshold
+        self.send_pool = _InlinePool(self.node, credits, size, f"{self.name}.sendpool")
+        self.recv_pool = (None if self.srq is not None else
+                          _InlinePool(self.node, credits, size, f"{self.name}.recvpool"))
+        self.pools = [pool for pool in (self.send_pool, self.recv_pool)
+                      if pool is not None]
+
     def _setup_pools(self) -> Generator:
-        yield from self.send_pool.setup()
+        for pool in self.pools:
+            yield from pool.setup()
+            if pool is self.recv_pool:
+                for region in pool.regions:
+                    self.repost_recv(region)
         if self.srq is not None:
             # Shared pool: registered once at server start; this
             # connection only waits for it and opens its inbox.
             if not self.srq.ready.processed:
                 yield self.srq.ready
             self._srq_inbox = self.srq.attach(self.qp)
-            return
-        yield from self.recv_pool.setup()
-        for region in self.recv_pool.regions:
-            self.repost_recv(region)
 
     def _teardown_pools(self) -> Generator:
-        """Deregister and free the private inline pools (teardown)."""
+        """Deregister and free every registered pool (teardown)."""
         if self.srq is not None:
             self.srq.detach(self.qp)
-        pools = (self.send_pool,) if self.recv_pool is None else (
-            self.send_pool, self.recv_pool)
-        for pool in pools:
-            for region in pool.regions:
-                if region.mr is not None:
-                    yield from self.node.hca.tpt.deregister(region.mr)
-                self.node.arena.free(region.buffer)
-            pool.regions.clear()
+        for pool in self.pools:
+            yield from pool.teardown()
 
     # -- inline send -----------------------------------------------------
     def send_header(self, header: RpcRdmaHeader) -> Generator:
@@ -236,7 +246,8 @@ class _RdmaEndpoint:
                 f"header of {len(payload)} bytes exceeds inline threshold "
                 f"{self.config.inline_threshold}"
             )
-        region = yield self.send_pool.free.get()
+        pool = self.send_pool
+        region = yield pool.free.get()
         yield from self.node.cpu.copy(len(payload))  # marshal into send buffer
         region.fill(payload)
         seg = region.segments[0]
@@ -246,14 +257,15 @@ class _RdmaEndpoint:
             wr.tspan = telemetry.tracer.task_span()
         yield from self.node.hca.post_send(self.qp, wr)
         self.headers_sent.add()
-        self.sim.process(self._reclaim_send(region, wr), name=f"{self.name}.reclaim")
+        self.sim.process(self._reclaim_send(pool, region, wr), name=f"{self.name}.reclaim")
         return wr
 
-    def _reclaim_send(self, region: RegisteredRegion, wr: SendWR) -> Generator:
+    def _reclaim_send(self, pool: _InlinePool, region: RegisteredRegion,
+                      wr: SendWR) -> Generator:
         yield wr.completion
         if not wr.cqe.ok:
             self.failed = True
-        self.send_pool.free.put(region)
+        pool.free.put(region)
 
     def _crypt(self, nbytes: int) -> Generator:
         """Process: one AES pass over ``nbytes`` when the encrypted
@@ -261,6 +273,66 @@ class _RdmaEndpoint:
         if not self.config.aes_payload or nbytes <= 0:
             return
         yield from self.node.cpu.crypt(nbytes)
+
+    # -- framing -----------------------------------------------------------
+    def _frame(self, ctx: dict, xid: int, rpc_bytes: bytes, payload,
+               chunks: ChunkList) -> Generator:
+        """Process: the RPC/RDMA header carrying one RPC message (Fig 2).
+
+        Bulk ``payload`` rides inline when :meth:`_payload_inline` says
+        so, else the design's :meth:`_place_payload` puts it in peer
+        memory.  A message still too large for one Send moves whole
+        through :meth:`_place_body`, and the header goes out as a
+        bodyless RDMA_NOMSG: the long call or long reply.
+        """
+        inline_payload = None
+        if payload:
+            if self._payload_inline(ctx, rpc_bytes, payload):
+                inline_payload = payload
+            else:
+                yield from self._place_payload(ctx, payload, chunks)
+        message = frame_message(rpc_bytes, inline_payload)
+        lane_fields = self._lane_fields(ctx)
+        header = RpcRdmaHeader(xid=xid, credits=self.grant(), mtype=MessageType.RDMA_MSG,
+                               chunks=chunks, rpc_message=message, **lane_fields)
+        if header.wire_size > self.config.inline_threshold:
+            yield from self._place_body(ctx, message, chunks)
+            header = RpcRdmaHeader(xid=xid, credits=self.grant(),
+                                   mtype=MessageType.RDMA_NOMSG, chunks=chunks,
+                                   rpc_message=b"", **lane_fields)
+        return header
+
+    def _payload_inline(self, ctx: dict, rpc_bytes: bytes, payload) -> bool:
+        """Does the payload fit inline beside the RPC message?"""
+        return 4 + len(rpc_bytes) + len(payload) + 64 <= self.config.inline_threshold
+
+    def grant(self) -> int:
+        """The header's credits field: credits asked for on a call."""
+        return self.config.credits
+
+    def _place_payload(self, ctx: dict, payload, chunks: ChunkList) -> Generator:
+        """Process: put bulk that does not ride inline in peer memory."""
+        raise NotImplementedError
+        yield  # pragma: no cover
+
+    def _place_body(self, ctx: dict, message, chunks: ChunkList) -> Generator:
+        """Process: put a whole long message body in peer memory."""
+        raise NotImplementedError
+        yield  # pragma: no cover
+
+    def _expose(self, data, position: int, regions: list,
+                copy: bool = False) -> Generator:
+        """Process: put ``data`` in a fresh remotely-readable region,
+        kept in ``regions``, and return it as read chunks at
+        ``position`` for the peer to RDMA-Read.  ``copy`` charges the
+        copy into the region."""
+        region = yield from self.strategy.acquire(len(data), AccessFlags.REMOTE_READ)
+        if copy:
+            yield from self.node.cpu.copy(len(data))
+        yield from self._crypt(len(data))
+        region.fill(data)
+        regions.append(region)
+        return [ReadChunk(position=position, segment=seg) for seg in region.segments]
 
     def repost_recv(self, region: RegisteredRegion) -> None:
         wr = RecvWR(self.sim, list(region.segments))
@@ -278,6 +350,65 @@ class _RdmaEndpoint:
         if not self._posted:
             raise TransportError(f"{self.name}: receive queue empty")
         return self._posted.popleft()
+
+    # -- receive path ---------------------------------------------------------
+    def _receiver(self) -> Generator:
+        """Receive loop: take a frame, decode its header, dispatch it."""
+        yield self.ready
+        take = self._ring_frame if self.srq is None else self._srq_frame
+        qp = self.qp
+        while True:
+            raw = yield from take(qp)
+            if raw is None:
+                return
+            try:
+                header = RpcRdmaHeader.decode(raw)
+            except XdrError:
+                # Garbage from a buggy or hostile peer: drop the frame and
+                # keep receiving; a call it might have answered times out
+                # and retransmits like any lost reply.
+                self._record_malformed()
+                continue
+            self._dispatch(header)
+
+    def _ring_frame(self, qp: QueuePair) -> Generator:
+        """Process: the next frame from the private receive ring, its
+        buffer reposted at once; None once the ring is finished."""
+        if self.qp is not qp:
+            return None  # superseded by a reconnect; the new receiver owns state
+        if not self.failed and self._posted:
+            wr = self.next_recv()
+            yield wr.completion
+            if self.qp is not qp:
+                return None
+            if wr.cqe.ok:
+                self.repost_recv(wr.pool_region)
+                return wr.received
+        self.failed = True
+        self._on_connection_error("receive ring stopped")
+        return None
+
+    def _srq_frame(self, qp: QueuePair) -> Generator:
+        """Process: the next frame from this connection's shared-pool
+        inbox; None once the inbox is closed.  The buffer recycles at
+        once, so one small pool can serve hundreds of mounts."""
+        if self.failed:
+            return None
+        wr = yield self._srq_inbox.get()
+        if wr is self.srq.CLOSED:
+            return None
+        self.srq.recycle(wr)
+        if not wr.cqe.ok:
+            self.failed = True
+            return None
+        return wr.received
+
+    def _record_malformed(self) -> None:
+        """Count an undecodable inbound frame."""
+        self.malformed_received.add()
+
+    def _dispatch(self, header: RpcRdmaHeader) -> None:
+        raise NotImplementedError
 
     # -- chunk fetch (RDMA Read of peer-exposed chunks) -------------------
     def fetch_chunks(
@@ -344,15 +475,16 @@ class _RdmaEndpoint:
 
 
 class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
-    """Client half: marshalling, credits, XID demux, long calls, WRITE data.
+    """Client half: credits, XID demux, long calls, WRITE data, redial.
 
     Subclasses provide the reply-direction behaviour:
 
     * ``_prepare_reply_resources(call, chunks, ctx)`` — what to advertise
       in the call (Read-Write: write/reply chunks; Read-Read: nothing);
-    * ``_handle_reply(header, ctx)`` — how to obtain reply bulk data
-      (Read-Write: already in client memory; Read-Read: RDMA-Read the
-      server's chunks, then send RDMA_DONE).
+    * ``_reply_body(header, ctx)`` and an extended ``_handle_reply`` —
+      how to obtain a long reply's body and reply bulk data (Read-Write:
+      already in client memory; Read-Read: RDMA-Read the server's
+      chunks, then send RDMA_DONE).
     """
 
     design = "base"
@@ -381,7 +513,6 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
         #: None on dedicated connections — zero work on that path.
         self.lane_hook = None
         self.ready = self.sim.process(self._setup_pools(), name=f"{name}.setup")
-        self._recv_fifo: deque = deque()
         self.sim.process(self._receiver(), name=f"{name}.rx")
 
     def _on_connection_error(self, cause: str) -> None:
@@ -527,12 +658,7 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
             self._bind_qp(new_qp)
             self.peer_ready = peer_ready
             self.failed = False
-            self.send_pool = _InlinePool(self.node, self.config.credits,
-                                         self.config.inline_threshold,
-                                         f"{self.name}.sendpool")
-            self.recv_pool = _InlinePool(self.node, self.config.credits,
-                                         self.config.inline_threshold,
-                                         f"{self.name}.recvpool")
+            self._make_pools()
             self._posted = deque()
             # Re-run the CM handshake: re-register buffers through the
             # active strategy, pre-post receives, wait for the peer.
@@ -554,63 +680,31 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
 
     # -- call marshalling ---------------------------------------------------
     def _build_call(self, call: RpcCall, ctx: dict) -> Generator:
+        # A call carries a WRITE payload or reply hints, never both, so
+        # advertising reply resources first orders no work differently.
         chunks = ChunkList()
-        rpc_bytes = call.encode()
-        inline_payload: Optional[bytes] = None
-        payload = call.write_payload
-        if payload is not None:
-            if 4 + len(rpc_bytes) + len(payload) + 64 <= self.config.inline_threshold:
-                inline_payload = payload  # small write rides inline
-            else:
-                yield from self._add_write_data_chunks(call, chunks, ctx)
         yield from self._prepare_reply_resources(call, chunks, ctx)
-        message = frame_message(rpc_bytes, inline_payload)
-        header = RpcRdmaHeader(
-            xid=call.xid,
-            credits=self.config.credits,
-            mtype=MessageType.RDMA_MSG,
-            chunks=chunks,
-            rpc_message=message,
-            lane=call.lane,
-            lane_seq=call.lane_seq,
-        )
-        if header.wire_size > self.config.inline_threshold:
-            # RPC long call: body moves as position-0 read chunks.
-            region = yield from self.strategy.acquire(len(message), AccessFlags.REMOTE_READ)
-            yield from self.node.cpu.copy(len(message))
-            yield from self._crypt(len(message))
-            region.fill(message)
-            ctx["regions"].append(region)
-            chunks.read_chunks = [
-                ReadChunk(position=0, segment=seg) for seg in region.segments
-            ] + chunks.read_chunks
-            header = RpcRdmaHeader(
-                xid=call.xid,
-                credits=self.config.credits,
-                mtype=MessageType.RDMA_NOMSG,
-                chunks=chunks,
-                rpc_message=b"",
-                lane=call.lane,
-                lane_seq=call.lane_seq,
-            )
-        return header
+        return (yield from self._frame(ctx, call.xid, call.encode(),
+                                       call.write_payload, chunks))
 
-    def _add_write_data_chunks(self, call: RpcCall, chunks: ChunkList, ctx: dict) -> Generator:
+    def _lane_fields(self, ctx: dict) -> dict:
+        call = ctx["call"]
+        return {"lane": call.lane, "lane_seq": call.lane_seq}
+
+    def _place_body(self, ctx: dict, message, chunks: ChunkList) -> Generator:
+        # RPC long call: the body moves as position-0 read chunks.
+        chunks.read_chunks[:0] = yield from self._expose(message, 0, ctx["regions"],
+                                                         copy=True)
+
+    def _place_payload(self, ctx: dict, payload, chunks: ChunkList) -> Generator:
         """Expose the NFS WRITE payload for server RDMA Reads.
 
         Identical in both designs (§4: "The NFS Procedure WRITE is
         similar in both the Read-Read and Read-Write based designs").
         """
-        payload = call.write_payload
-        if call.write_buffer is not None:
-            # Zero-copy: register exactly the payload extent in place.
-            region = yield from self.strategy.wrap(
-                call.write_buffer, AccessFlags.REMOTE_READ,
-                addr=call.write_buffer.addr,
-                length=min(len(payload), call.write_buffer.length),
-            )
-        else:
-            region = yield from self.strategy.acquire(len(payload), AccessFlags.REMOTE_READ)
+        buffer = ctx["call"].write_buffer
+        region = yield from self._io_region(buffer, len(payload), AccessFlags.REMOTE_READ)
+        if buffer is None:
             yield from self.node.cpu.copy(len(payload))
             region.fill(payload)
         yield from self._crypt(len(payload))
@@ -620,6 +714,15 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
             for seg in slice_segments(region.segments, 0, len(payload))
         )
 
+    def _io_region(self, buffer, length: int, access: AccessFlags) -> Generator:
+        """Process: a registered window of ``length`` bytes — exactly
+        that extent of the application's ``buffer``, registered in place
+        (zero copy), or a fresh transport buffer when there is none."""
+        if buffer is None:
+            return (yield from self.strategy.acquire(length, access))
+        return (yield from self.strategy.wrap(buffer, access, addr=buffer.addr,
+                                              length=min(length, buffer.length)))
+
     def _decode_reply(self, message) -> RpcReply:
         """The RPC reply inside a reply message.  An undecodable one is
         counted and handled like a lost reply: the attempt fails with
@@ -628,7 +731,7 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
             rpc_header, inline_payload = unframe_message(message)
             reply = RpcReply.decode(rpc_header)
         except XdrError as exc:
-            self.malformed_received.add()
+            self._record_malformed()
             raise RpcTimeout(f"{self.name}: undecodable reply: {exc}") from None
         reply.read_payload = inline_payload
         return reply
@@ -639,48 +742,32 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
         yield  # pragma: no cover
 
     def _handle_reply(self, header: RpcRdmaHeader, ctx: dict) -> Generator:
+        """Process: the RPC reply carried inline or, for a long reply,
+        fetched by the design's ``_reply_body``."""
+        if header.mtype is MessageType.RDMA_NOMSG:
+            message = yield from self._reply_body(header, ctx)
+        elif header.mtype is MessageType.RDMA_MSG:
+            message = header.rpc_message
+        else:
+            raise TransportError(f"{self.name}: unexpected reply type {header.mtype}")
+        return self._decode_reply(message)
+
+    def _reply_body(self, header: RpcRdmaHeader, ctx: dict) -> Generator:
         raise NotImplementedError
         yield  # pragma: no cover
 
     # -- receive path ---------------------------------------------------------
-    def _receiver(self) -> Generator:
-        yield self.ready
-        qp = self.qp
-        while True:
-            if self.qp is not qp:
-                return  # superseded by a reconnect; the new receiver owns state
-            if self.failed or not self._posted:
-                self.failed = True
-                self._flush_waiters()
-                return
-            wr = self.next_recv()
-            yield wr.completion
-            if self.qp is not qp:
-                return
-            if not wr.cqe.ok:
-                self.failed = True
-                self._flush_waiters()
-                return
-            raw = wr.received
-            # Repost a fresh inline receive in this buffer's place.
-            self.repost_recv(wr.pool_region)
-            try:
-                header = RpcRdmaHeader.decode(raw)
-            except XdrError:
-                # Garbage from a buggy or hostile server: drop the frame
-                # and keep receiving; the call it might have answered
-                # times out and retransmits like any lost reply.
-                self.malformed_received.add()
-                continue
-            waiter = self._pending.pop(header.xid, None)
-            if waiter is None:
-                continue  # stale reply for an aborted call
-            ctx = self._contexts.get(header.xid)
-            if ctx is not None:
-                ctx["new_grant"] = header.credits
-            if header.lane is not None and self.lane_hook is not None:
-                self.lane_hook(header)
-            waiter.succeed(header)
+    def _dispatch(self, header: RpcRdmaHeader) -> None:
+        """Wake the call this reply answers."""
+        waiter = self._pending.pop(header.xid, None)
+        if waiter is None:
+            return  # stale reply for an aborted call
+        ctx = self._contexts.get(header.xid)
+        if ctx is not None:
+            ctx["new_grant"] = header.credits
+        if header.lane is not None and self.lane_hook is not None:
+            self.lane_hook(header)
+        waiter.succeed(header)
 
     def _flush_waiters(self) -> None:
         for xid, waiter in list(self._pending.items()):
@@ -689,10 +776,11 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
 
 
 class RpcRdmaServerBase(_RdmaEndpoint, RpcServerTransport):
-    """Server half: receive path, long-call fetch, WRITE-data fetch.
+    """Server half: request handling, long-call fetch, WRITE-data fetch.
 
-    Subclasses implement ``_respond(call_ctx, reply)`` — the reply path
-    is where the two designs genuinely differ.
+    Subclasses implement ``_respond(ctx, reply)`` around :meth:`_frame`
+    and the two placement steps — the reply path is where the two
+    designs genuinely differ.
     """
 
     design = "base"
@@ -723,7 +811,7 @@ class RpcRdmaServerBase(_RdmaEndpoint, RpcServerTransport):
         return name.split(".")[0] if "." in name else name
 
     def grant(self) -> int:
-        """Credits field for the next reply (policy- or config-driven)."""
+        """Credits granted by the next reply (policy- or config-driven)."""
         if self.credit_policy is None:
             return self.config.credits
         backlog = self.server.backlog if self.server is not None else 0
@@ -742,64 +830,12 @@ class RpcRdmaServerBase(_RdmaEndpoint, RpcServerTransport):
             self.srq.detach(self.qp)
 
     # -- receive path ---------------------------------------------------------
-    def _receiver(self) -> Generator:
-        yield self.ready
-        if self.srq is not None:
-            yield from self._srq_receiver()
-            return
-        while True:
-            if self.failed or not self._posted:
-                self.failed = True
-                return
-            wr = self.next_recv()
-            yield wr.completion
-            if not wr.cqe.ok:
-                self.failed = True
-                return
-            raw = wr.received
-            self.repost_recv(wr.pool_region)
-            try:
-                header = RpcRdmaHeader.decode(raw)
-            except XdrError:
-                # Garbage frame (flooding/fuzzing client): drop it, score
-                # the sender, keep the receive loop alive.
-                self._record_malformed()
-                continue
-            # Handle each message off the receive loop so long fetches
-            # don't head-of-line-block subsequent requests; a connection
-            # dying mid-fetch fails that request, not the server.
-            self.sim.process(self._handle_message_safely(header),
-                             name=f"{self.name}.req")
-
-    def _srq_receiver(self) -> Generator:
-        """Receive loop in shared-pool mode: drain this QP's inbox.
-
-        The buffer recycles into the pool the moment the header is
-        decoded (the message body is inline by construction), so pool
-        residency per request is the wire+decode time only — that is
-        what lets one small pool serve hundreds of mounts.
-        """
-        inbox = self._srq_inbox
-        while True:
-            if self.failed:
-                return
-            wr = yield inbox.get()
-            if wr is self.srq.CLOSED:
-                return
-            if not wr.cqe.ok:
-                self.srq.recycle(wr)
-                self.failed = True
-                return
-            raw = wr.received
-            try:
-                header = RpcRdmaHeader.decode(raw)
-            except XdrError:
-                self.srq.recycle(wr)
-                self._record_malformed()
-                continue
-            self.srq.recycle(wr)
-            self.sim.process(self._handle_message_safely(header),
-                             name=f"{self.name}.req")
+    def _dispatch(self, header: RpcRdmaHeader) -> None:
+        # Handle each message off the receive loop so long fetches
+        # don't head-of-line-block subsequent requests; a connection
+        # dying mid-fetch fails that request, not the server.
+        self.sim.process(self._handle_message_safely(header),
+                         name=f"{self.name}.req")
 
     def _record_malformed(self) -> None:
         """Count an undecodable inbound frame and score its sender."""
@@ -946,7 +982,7 @@ class RpcRdmaServerBase(_RdmaEndpoint, RpcServerTransport):
             self.lanes.on_reply(lane)
         yield from self.strategy.release_all(ctx["regions"], closing)
 
-    def _lane_reply_fields(self, ctx: dict) -> dict:
+    def _lane_fields(self, ctx: dict) -> dict:
         """Version-2 header fields echoing the call's lane; empty for
         dedicated connections, which keeps replies at wire version 1."""
         lane = ctx["header"].lane

@@ -23,21 +23,21 @@ release.  Faithfully modeled liabilities:
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Callable, Generator, Optional
 
 from repro.core.base import (
     DATA_CHUNK_POSITION,
     RpcRdmaClientBase,
     RpcRdmaServerBase,
     TransportError,
+    _InlinePool,
 )
 from repro.core.chunks import ChunkList, ReadChunk
 from repro.core.header import MessageType, RpcRdmaHeader
 from repro.core.strategies import RegisteredRegion
-from repro.ib.memory import AccessFlags
-from repro.rpc.msg import RpcCall, RpcReply, frame_message
+from repro.rpc.msg import RpcCall, RpcReply
 from repro.rpc.transport import RpcTimeout
-from repro.sim import Counter, Store
+from repro.sim import Counter
 
 __all__ = ["ReadReadClient", "ReadReadServer"]
 
@@ -49,29 +49,17 @@ class ReadReadClient(RpcRdmaClientBase):
 
     def __init__(self, node, qp, config, strategy, name=""):
         super().__init__(node, qp, config, strategy, name)
-        self.bounce_pool: Store = Store(self.sim, name=f"{self.name}.bounce")
         self.dones_sent = Counter(f"{self.name}.dones")
         self.bounce_copies_bytes = Counter(f"{self.name}.bounce_copy_bytes")
 
-    def _setup_pools(self) -> Generator:
-        yield from super()._setup_pools()
+    def _make_pools(self) -> None:
+        super()._make_pools()
         # Pre-registered bounce buffers: the Read-Read client never
         # registers per-operation — it pays in copies instead.
-        tpt = self.node.hca.tpt
-        for _ in range(self.config.bounce_pool_entries):
-            buffer = self.node.arena.alloc(self.config.bounce_buffer_bytes)
-            mr = yield from tpt.register(buffer, AccessFlags.LOCAL_WRITE)
-            from repro.ib.verbs import Segment
-
-            self.bounce_pool.put(
-                RegisteredRegion(
-                    buffer=buffer,
-                    segments=[Segment(mr.stag, buffer.addr, buffer.length)],
-                    access=AccessFlags.LOCAL_WRITE,
-                    owned=True,
-                    mr=mr,
-                )
-            )
+        self.bounce_pool = _InlinePool(self.node, self.config.bounce_pool_entries,
+                                       self.config.bounce_buffer_bytes,
+                                       f"{self.name}.bounce")
+        self.pools.append(self.bounce_pool)
 
     def _prepare_reply_resources(self, call: RpcCall, chunks: ChunkList, ctx: dict) -> Generator:
         # Nothing to advertise: the server will expose *its* buffers in
@@ -79,50 +67,43 @@ class ReadReadClient(RpcRdmaClientBase):
         return
         yield  # pragma: no cover
 
-    def _handle_reply(self, header: RpcRdmaHeader, ctx: dict) -> Generator:
-        fetched_chunks = False
+    def _reply_body(self, header: RpcRdmaHeader, ctx: dict) -> Generator:
         # Long reply: the entire RPC message is a position-0 read chunk
         # in the server's memory; fetch it.
-        if header.mtype is MessageType.RDMA_NOMSG:
-            body = header.chunks.read_chunks_at(0)
-            if not body:
-                raise TransportError(f"{self.name}: NOMSG reply without chunks")
-            length = sum(c.length for c in body)
-            message = yield from self._fetch_via_bounce([c.segment for c in body], length)
-            fetched_chunks = True
-        elif header.mtype is MessageType.RDMA_MSG:
-            message = header.rpc_message
-        else:
-            raise TransportError(f"{self.name}: unexpected reply type {header.mtype}")
+        body = header.chunks.read_chunks_at(0)
+        if not body:
+            raise TransportError(f"{self.name}: NOMSG reply without chunks")
+        return (yield from self._fetch_via_bounce(body))
+
+    def _handle_reply(self, header: RpcRdmaHeader, ctx: dict) -> Generator:
+        long_reply = header.mtype is MessageType.RDMA_NOMSG
         try:
-            reply = self._decode_reply(message)
+            reply = yield from super()._handle_reply(header, ctx)
         except RpcTimeout:
-            if fetched_chunks:
+            if long_reply:
                 # Still release the server's exposed buffers.
                 yield from self._send_done(header.xid)
             raise
         # READ data chunks: server-exposed; client issues the RDMA Reads.
         data = header.chunks.read_chunks_at(DATA_CHUNK_POSITION)
         if data:
-            length = sum(c.length for c in data)
-            reply.read_payload = yield from self._fetch_via_bounce(
-                [c.segment for c in data], length
-            )
-            fetched_chunks = True
-        if fetched_chunks:
+            reply.read_payload = yield from self._fetch_via_bounce(data)
+        if long_reply or data:
             # Tell the server it may free its exposed buffers.
             yield from self._send_done(header.xid)
         return reply
 
-    def _fetch_via_bounce(self, segments, length: int) -> Generator:
+    def _fetch_via_bounce(self, chunks: list[ReadChunk]) -> Generator:
         """RDMA-Read server chunks into a bounce buffer, copy out."""
+        length = sum(c.length for c in chunks)
         if length > self.config.bounce_buffer_bytes:
             raise TransportError(
                 f"{self.name}: {length} bytes exceed bounce buffer size"
             )
-        bounce: RegisteredRegion = yield self.bounce_pool.get()
+        pool = self.bounce_pool
+        bounce: RegisteredRegion = yield pool.free.get()
         try:
-            yield from self.fetch_chunks(segments, bounce, length)
+            yield from self.fetch_chunks([c.segment for c in chunks], bounce, length)
             yield from self._crypt(length)
             # The copy the Read-Write design eliminates (Fig 6's CPU gap):
             # bounce buffer -> application memory.
@@ -130,7 +111,7 @@ class ReadReadClient(RpcRdmaClientBase):
             self.bounce_copies_bytes.add(length)
             return bounce.peek(length)
         finally:
-            self.bounce_pool.put(bounce)
+            pool.free.put(bounce)
 
     def _send_done(self, xid: int) -> Generator:
         done = RpcRdmaHeader(
@@ -164,59 +145,9 @@ class ReadReadServer(RpcRdmaServerBase):
         self.quota_evictions = Counter(f"{self.name}.quota_evictions")
 
     def _respond(self, ctx: dict, reply: RpcReply) -> Generator:
-        reply_chunks = ChunkList()
-        reply_bytes = reply.encode()
-        inline_payload: Optional[bytes] = None
-        exposed: list[RegisteredRegion] = []
-        payload = reply.read_payload
-
-        if payload:
-            if 4 + len(reply_bytes) + len(payload) + 64 <= self.config.inline_threshold:
-                inline_payload = payload
-            else:
-                # Expose a server buffer for the client to RDMA Read —
-                # the security hole §4.1 identifies.
-                region = yield from self.strategy.acquire(
-                    len(payload), AccessFlags.REMOTE_READ
-                )
-                yield from self._crypt(len(payload))
-                region.fill(payload)
-                exposed.append(region)
-                from repro.core.base import slice_segments
-
-                reply_chunks.read_chunks.extend(
-                    ReadChunk(position=DATA_CHUNK_POSITION, segment=seg)
-                    for seg in slice_segments(region.segments, 0, len(payload))
-                )
-
-        message = frame_message(reply_bytes, inline_payload)
-        lane_fields = self._lane_reply_fields(ctx)
-        header = RpcRdmaHeader(
-            xid=reply.xid,
-            credits=self.grant(),
-            mtype=MessageType.RDMA_MSG,
-            chunks=reply_chunks,
-            rpc_message=message,
-            **lane_fields,
-        )
-        if header.wire_size > self.config.inline_threshold:
-            # RPC long reply, Read-Read style: expose the message itself.
-            region = yield from self.strategy.acquire(len(message), AccessFlags.REMOTE_READ)
-            yield from self._crypt(len(message))
-            region.fill(message)
-            exposed.append(region)
-            reply_chunks.read_chunks = [
-                *(ReadChunk(position=0, segment=seg) for seg in region.segments),
-                *(c for c in reply_chunks.read_chunks if c.position != 0),
-            ]
-            header = RpcRdmaHeader(
-                xid=reply.xid,
-                credits=self.grant(),
-                mtype=MessageType.RDMA_NOMSG,
-                chunks=reply_chunks,
-                rpc_message=b"",
-                **lane_fields,
-            )
+        exposed = ctx["exposed"] = []
+        header = yield from self._frame(ctx, reply.xid, reply.encode(),
+                                        reply.read_payload, ChunkList())
         if exposed:
             # Lifetime now rests with the client: nothing is released
             # until (unless!) its RDMA_DONE arrives.  Merge, don't
@@ -230,7 +161,7 @@ class ReadReadServer(RpcRdmaServerBase):
             san = self.sim.sanitizer
             if san is not None:
                 san.advertise(self.node.hca.tpt.name, reply.xid,
-                              reply_chunks)
+                              header.chunks)
             if self.config.exposure_quota_bytes is not None:
                 yield from self._enforce_quota(reply.xid)
             if self.config.lease_timeout_us is not None:
@@ -238,7 +169,37 @@ class ReadReadServer(RpcRdmaServerBase):
                                  name=f"{self.name}.lease")
         yield from self.send_header(header)
 
-    # -- mitigation machinery ----------------------------------------------
+    def _place_payload(self, ctx: dict, payload, chunks: ChunkList) -> Generator:
+        # Expose a server buffer for the client to RDMA Read — the
+        # security hole §4.1 identifies.
+        chunks.read_chunks += yield from self._expose(payload, DATA_CHUNK_POSITION,
+                                                      ctx["exposed"])
+
+    def _place_body(self, ctx: dict, message, chunks: ChunkList) -> Generator:
+        # RPC long reply, Read-Read style: expose the message itself.
+        chunks.read_chunks[:0] = yield from self._expose(message, 0, ctx["exposed"])
+
+    # -- exposure lifecycle --------------------------------------------------
+    def _retire(self, xid: int,
+                charge: Optional[Callable[[int], None]] = None) -> Generator:
+        """Process: withdraw and release the windows exposed under
+        ``xid`` — the one exit for DONE, lease expiry, quota eviction
+        and disconnect.  ``charge`` books a reclaim the client forced
+        before anything is released.  Returns the bytes freed (0 when
+        nothing was pending)."""
+        regions = self.pending_done.pop(xid, None)
+        if regions is None:
+            return 0
+        nbytes = sum(r.length for r in regions)
+        if charge is not None:
+            charge(nbytes)
+        san = self.sim.sanitizer
+        if san is not None:
+            san.retire(self.node.hca.tpt.name, xid)
+        for region in regions:
+            yield from self.strategy.release(region)
+        return nbytes
+
     def _enforce_quota(self, current_xid: int) -> Generator:
         """Admission control: this connection's exposed bytes must fit
         ``exposure_quota_bytes``.  While over, the *oldest* pending
@@ -253,56 +214,37 @@ class ReadReadServer(RpcRdmaServerBase):
             if total <= quota:
                 return
             oldest = next(x for x in self.pending_done if x != current_xid)
-            regions = self.pending_done.pop(oldest)
-            nbytes = sum(r.length for r in regions)
-            self.quota_evictions.add(nbytes)
-            san = self.sim.sanitizer
-            if san is not None:
-                san.retire(self.node.hca.tpt.name, oldest)
-            if self.policy is not None:
-                self.policy.record_quota_eviction(self.client_id, nbytes)
-            for region in regions:
-                yield from self.strategy.release(region)
+            yield from self._retire(oldest, self._charge_quota_eviction)
+
+    def _charge_quota_eviction(self, nbytes: int) -> None:
+        self.quota_evictions.add(nbytes)
+        if self.policy is not None:
+            self.policy.record_quota_eviction(self.client_id, nbytes)
 
     def _lease_timer(self, xid: int) -> Generator:
         """Deadline-based reclamation: if the DONE has not arrived when
         the lease expires, deregister the windows (a sanitizer-visible
-        epoch bump) and score the client."""
+        epoch bump) and score the client.  A DONE (or a quota or
+        disconnect reclaim) that beat the deadline leaves nothing."""
         yield self.sim.timeout(self.config.lease_timeout_us)
-        regions = self.pending_done.pop(xid, None)
-        if regions is None:
-            return  # DONE (or quota/disconnect reclaim) beat the deadline
-        nbytes = sum(r.length for r in regions)
+        yield from self._retire(xid, self._charge_lease_reclaim)
+
+    def _charge_lease_reclaim(self, nbytes: int) -> None:
         self.lease_reclaims.add(nbytes)
-        san = self.sim.sanitizer
-        if san is not None:
-            san.retire(self.node.hca.tpt.name, xid)
         if self.policy is not None:
             self.policy.record_lease_reclaim(self.client_id, nbytes)
-        for region in regions:
-            yield from self.strategy.release(region)
 
     def _handle_done(self, header: RpcRdmaHeader) -> Generator:
         yield from self.node.cpu.consume(self.config.done_handler_cpu_us)
         self.dones_received.add()
-        regions = self.pending_done.pop(header.xid, None)
-        if regions is None:
-            return  # duplicate/stray DONE: ignore, as a robust server must
-        san = self.sim.sanitizer
-        if san is not None:
-            san.retire(self.node.hca.tpt.name, header.xid)
-        for region in regions:
-            yield from self.strategy.release(region)
+        # A duplicate or stray DONE frees nothing, as a robust server must.
+        yield from self._retire(header.xid)
 
     def _reclaim_on_disconnect(self) -> Generator:
-        """Release every window awaiting a DONE that will never come."""
+        """Release every window awaiting a DONE that will never come,
+        newest first."""
         while self.pending_done:
-            xid, regions = self.pending_done.popitem()
-            san = self.sim.sanitizer
-            if san is not None:
-                san.retire(self.node.hca.tpt.name, xid)
-            for region in regions:
-                yield from self.strategy.release(region)
+            yield from self._retire(next(reversed(self.pending_done)))
 
     # -- audit hooks ---------------------------------------------------------
     def exposed_regions(self) -> list[RegisteredRegion]:

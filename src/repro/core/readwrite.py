@@ -35,9 +35,9 @@ from repro.core.base import (
     slice_segments,
 )
 from repro.core.chunks import ChunkList, WriteChunk
-from repro.core.header import MessageType, RpcRdmaHeader
+from repro.core.header import RpcRdmaHeader
 from repro.ib.memory import AccessFlags
-from repro.rpc.msg import RpcCall, RpcReply, frame_message
+from repro.rpc.msg import RpcCall, RpcReply
 from repro.sim import Counter
 
 __all__ = ["ReadWriteClient", "ReadWriteServer"]
@@ -45,6 +45,10 @@ __all__ = ["ReadWriteClient", "ReadWriteServer"]
 #: Conservative bound on reply-header framing overhead when deciding
 #: whether an expected reply still fits inline.
 _REPLY_OVERHEAD = 192
+
+
+class _ChunkTooSmall(Exception):
+    """The reply does not fit the chunk the client advertised for it."""
 
 
 class ReadWriteClient(RpcRdmaClientBase):
@@ -63,22 +67,11 @@ class ReadWriteClient(RpcRdmaClientBase):
         if call.read_len_hint > 0 and (
             call.read_len_hint + _REPLY_OVERHEAD > self.config.inline_threshold
         ):
-            if call.read_buffer is not None:
-                # Direct I/O zero-copy: register exactly the I/O window
-                # of the app buffer in place.
-                region = yield from self.strategy.wrap(
-                    call.read_buffer, AccessFlags.REMOTE_WRITE,
-                    addr=call.read_buffer.addr,
-                    length=min(call.read_len_hint, call.read_buffer.length),
-                )
-                ctx["read_zero_copy"] = True
-                self.zero_copy_reads.add()
-            else:
-                region = yield from self.strategy.acquire(
-                    call.read_len_hint, AccessFlags.REMOTE_WRITE
-                )
-                ctx["read_zero_copy"] = False
-                self.buffered_reads.add()
+            # Direct I/O registers the app buffer in place (zero copy).
+            region = yield from self._io_region(call.read_buffer, call.read_len_hint,
+                                                AccessFlags.REMOTE_WRITE)
+            zero_copy = ctx["read_zero_copy"] = call.read_buffer is not None
+            (self.zero_copy_reads if zero_copy else self.buffered_reads).add()
             ctx["regions"].append(region)
             ctx["read_region"] = region
             chunks.write_chunks.append(
@@ -93,21 +86,18 @@ class ReadWriteClient(RpcRdmaClientBase):
             ctx["reply_region"] = region
             chunks.reply_chunk = WriteChunk(region.segments)
 
+    def _reply_body(self, header: RpcRdmaHeader, ctx: dict) -> Generator:
+        # Long reply: the entire RPC message was RDMA-written into our
+        # reply chunk; its echoed length says how much.
+        region = ctx.get("reply_region")
+        if region is None or header.chunks.reply_chunk is None:
+            raise TransportError(f"{self.name}: long reply without reply chunk")
+        actual = header.chunks.reply_chunk.capacity
+        yield from self._crypt(actual)
+        return region.peek(actual)
+
     def _handle_reply(self, header: RpcRdmaHeader, ctx: dict) -> Generator:
-        if header.mtype is MessageType.RDMA_NOMSG:
-            # Long reply: the entire RPC message was RDMA-written into
-            # our reply chunk; its echoed length says how much.
-            region = ctx.get("reply_region")
-            if region is None or header.chunks.reply_chunk is None:
-                raise TransportError(f"{self.name}: long reply without reply chunk")
-            actual = header.chunks.reply_chunk.capacity
-            yield from self._crypt(actual)
-            message = region.peek(actual)
-        elif header.mtype is MessageType.RDMA_MSG:
-            message = header.rpc_message
-        else:
-            raise TransportError(f"{self.name}: unexpected reply type {header.mtype}")
-        reply = self._decode_reply(message)
+        reply = yield from super()._handle_reply(header, ctx)
         # READ data: already in client memory courtesy of the server's
         # RDMA Writes; the echoed write chunk tells us how much arrived.
         if header.chunks.write_chunks:
@@ -135,85 +125,22 @@ class ReadWriteServer(RpcRdmaServerBase):
                          credit_policy=credit_policy, srq=srq, policy=policy)
         self.rdma_writes_issued = Counter(f"{self.name}.writes")
         self.long_replies = Counter(f"{self.name}.long_replies")
+        #: replies too large for the client's write or reply chunk,
+        #: answered with an inline error reply instead.
+        self.replies_too_large = Counter(f"{self.name}.replies_too_large")
 
     def _respond(self, ctx: dict, reply: RpcReply) -> Generator:
-        call_header: RpcRdmaHeader = ctx["header"]
-        reply_chunks = ChunkList()
-        reply_bytes = reply.encode()
-        inline_payload: Optional[bytes] = None
-        payload = reply.read_payload
-
-        if payload:
-            fits_inline = (
-                4 + len(reply_bytes) + len(payload) + 64 <= self.config.inline_threshold
-            )
-            if call_header.chunks.write_chunks:
-                # RDMA-Write the data into the client's advertised chunk.
-                target = call_header.chunks.write_chunks[0]
-                if len(payload) > target.capacity:
-                    raise TransportError(
-                        f"{self.name}: {len(payload)} bytes exceed client's "
-                        f"write chunk of {target.capacity}"
-                    )
-                region = yield from self.strategy.acquire(
-                    len(payload), AccessFlags.LOCAL_WRITE
-                )
-                ctx["regions"].append(region)
-                yield from self._crypt(len(payload))
-                region.fill(payload)
-                yield from self.push_chunks(region, list(target.segments), len(payload))
-                self.rdma_writes_issued.add()
-                # Echo the chunk trimmed to the bytes actually written.
-                reply_chunks.write_chunks.append(
-                    WriteChunk(slice_segments(list(target.segments), 0, len(payload)))
-                )
-            elif fits_inline:
-                inline_payload = payload
-            else:
-                raise TransportError(
-                    f"{self.name}: bulk reply but client advertised no write chunk"
-                )
-
-        message = frame_message(reply_bytes, inline_payload)
-        lane_fields = self._lane_reply_fields(ctx)
-        header = RpcRdmaHeader(
-            xid=reply.xid,
-            credits=self.grant(),
-            mtype=MessageType.RDMA_MSG,
-            chunks=reply_chunks,
-            rpc_message=message,
-            **lane_fields,
-        )
-        if header.wire_size > self.config.inline_threshold:
-            # RPC long reply: write the whole message into the client's
-            # reply chunk, send a bodyless NOMSG reply.
-            target = call_header.chunks.reply_chunk
-            if target is None:
-                raise TransportError(
-                    f"{self.name}: long reply but client advertised no reply chunk"
-                )
-            if len(message) > target.capacity:
-                raise TransportError(
-                    f"{self.name}: long reply of {len(message)} bytes exceeds "
-                    f"client reply chunk of {target.capacity}"
-                )
-            region = yield from self.strategy.acquire(len(message), AccessFlags.LOCAL_WRITE)
-            ctx["regions"].append(region)
-            yield from self._crypt(len(message))
-            region.fill(message)
-            yield from self.push_chunks(region, list(target.segments), len(message))
-            self.long_replies.add()
-            reply_chunks.reply_chunk = WriteChunk(
-                slice_segments(list(target.segments), 0, len(message))
-            )
-            header = RpcRdmaHeader(
-                xid=reply.xid,
-                credits=self.grant(),
-                mtype=MessageType.RDMA_NOMSG,
-                chunks=reply_chunks,
-                rpc_message=b"",
-                **lane_fields,
-            )
+        try:
+            header = yield from self._frame(ctx, reply.xid, reply.encode(),
+                                            reply.read_payload, ChunkList())
+        except _ChunkTooSmall:
+            # READDIR is single-shot, so a listing can outgrow the reply
+            # chunk: answer with the dispatcher's error reply (the client
+            # raises an I/O error) and keep the connection.
+            self.replies_too_large.add()
+            error = RpcReply(xid=reply.xid, stat=1, header=b"")
+            header = yield from self._frame(ctx, reply.xid, error.encode(), None,
+                                            ChunkList())
         send_wr = yield from self.send_header(header)
         # The send's completion guarantees all prior RDMA Writes landed
         # (§4.2); only then may the bulk buffers be released — which the
@@ -221,3 +148,35 @@ class ReadWriteServer(RpcRdmaServerBase):
         yield send_wr.completion
         if not send_wr.cqe.ok:
             raise TransportError(f"{self.name}: reply send failed: {send_wr.cqe.error}")
+
+    def _payload_inline(self, ctx: dict, rpc_bytes: bytes, payload) -> bool:
+        # An advertised write chunk takes the data even when it would fit.
+        return (not ctx["header"].chunks.write_chunks
+                and super()._payload_inline(ctx, rpc_bytes, payload))
+
+    def _place_payload(self, ctx: dict, payload, chunks: ChunkList) -> Generator:
+        # RDMA-Write the data into the client's advertised write chunk.
+        advertised = ctx["header"].chunks.write_chunks
+        echo = yield from self._write_back(ctx, payload,
+                                           advertised[0] if advertised else None)
+        self.rdma_writes_issued.add()
+        chunks.write_chunks.append(echo)
+
+    def _place_body(self, ctx: dict, message, chunks: ChunkList) -> Generator:
+        # RPC long reply: write the whole message into the client's
+        # reply chunk; the header goes out as a bodyless NOMSG.
+        chunks.reply_chunk = yield from self._write_back(
+            ctx, message, ctx["header"].chunks.reply_chunk)
+        self.long_replies.add()
+
+    def _write_back(self, ctx: dict, data, target: Optional[WriteChunk]) -> Generator:
+        """Process: RDMA-Write ``data`` into the client chunk ``target``;
+        returns the chunk trimmed to the bytes written, for the echo."""
+        if target is None or len(data) > target.capacity:
+            raise _ChunkTooSmall(f"{self.name}: {len(data)} bytes overflow the client's chunk")
+        region = yield from self.strategy.acquire(len(data), AccessFlags.LOCAL_WRITE)
+        ctx["regions"].append(region)
+        yield from self._crypt(len(data))
+        region.fill(data)
+        yield from self.push_chunks(region, list(target.segments), len(data))
+        return WriteChunk(slice_segments(list(target.segments), 0, len(data)))

@@ -55,7 +55,7 @@ from repro.core import (
 from repro.core.strategies import AllPhysicalStrategy, FmrStrategy, RegistrationStrategy
 from repro.errors import TransportError
 from repro.faults import FaultInjector, FaultPlan
-from repro.fs import BlockFs, DiskConfig, Raid0, TmpFs
+from repro.fs import BlockFs, Raid0, TmpFs
 from repro.ib.fabric import Fabric, IBNode
 from repro.ib.mux import MuxConfig, QpMux
 from repro.ib.srq import SharedReceivePool
@@ -101,13 +101,7 @@ class ClusterConfig:
     #: raid backend: server page cache (the Fig 10 4 GB / 8 GB knob).
     cache_bytes: int = 4 << 30
     ndisks: int = 8
-    disk_mb_s: float = 30.0
     page_bytes: int = 64 * 1024
-    #: registration-cache memory budget (inf = unbounded).
-    regcache_budget_bytes: float = float("inf")
-    #: duplicate request cache entries for the server (0 disables; the
-    #: default gives every cluster exactly-once retransmit semantics).
-    drc_entries: int = 1024
     #: install the transport-level reconnect policy on RDMA clients so a
     #: dead QP heals itself instead of killing the mount.
     auto_reconnect: bool = True
@@ -156,8 +150,6 @@ class ClusterConfig:
             raise ValueError(f"backend must be one of {BACKENDS}")
         if self.nclients < 1:
             raise ValueError("need at least one client")
-        if self.drc_entries < 0:
-            raise ValueError("drc_entries must be non-negative")
         if self.srq and not self.is_rdma:
             raise ValueError("srq requires an RDMA transport")
         if self.srq_entries is not None and self.srq_entries < self.nclients:
@@ -287,8 +279,7 @@ def make_strategy(config: ClusterConfig, node: IBNode,
     if kind == "all-physical":
         return AllPhysicalStrategy(node)
     if kind in ("cache", "client-cache") and server:
-        return RegistrationCacheStrategy(
-            node, budget_bytes=config.regcache_budget_bytes)
+        return RegistrationCacheStrategy(node)
     if kind == "client-cache":
         # Extension (TR): registration caches on BOTH sides.
         return ClientRegistrationCache(node)
@@ -330,7 +321,6 @@ class ServerStack:
             self.raid = Raid0(
                 self.sim,
                 ndisks=config.ndisks,
-                disk_config=DiskConfig(streaming_mb_s=config.disk_mb_s),
                 stripe_unit_bytes=config.page_bytes,
             )
             self.fs = BlockFs(
@@ -342,13 +332,10 @@ class ServerStack:
             svc_name, drc_name = f"{name}.rpcsvc", f"{name}.drc"
         else:
             svc_name, drc_name = "rpcsvc", "rpcsvc.drc"
-        # The DRC is on by default: any transport-level retry (TCP
+        # Every server has a DRC: any transport-level retry (TCP
         # retransmit, RDMA recovery) must not re-execute non-idempotent
         # procedures.
-        self.drc = (
-            DuplicateRequestCache(config.drc_entries, name=drc_name)
-            if config.drc_entries > 0 else None
-        )
+        self.drc = DuplicateRequestCache(name=drc_name)
         self.rpc_server = RpcServer(
             self.sim,
             self.node.cpu,

@@ -189,9 +189,9 @@ class StaleChunkReplayAdversary(ReadReadClient):
         self.replay_naks = Counter(f"{self.name}.replay_naks")
         self.replay_hits = Counter(f"{self.name}.replay_hits")
 
-    def _fetch_via_bounce(self, segments, length: int) -> Generator:
-        self.recorded.extend(segments)
-        return (yield from super()._fetch_via_bounce(segments, length))
+    def _fetch_via_bounce(self, chunks) -> Generator:
+        self.recorded.extend(c.segment for c in chunks)
+        return (yield from super()._fetch_via_bounce(chunks))
 
     def replay(self, qp_factory, limit: Optional[int] = None) -> Generator:
         """Process: replay recorded windows over a fresh attack QP.
